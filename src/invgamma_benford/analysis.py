@@ -9,12 +9,11 @@ computed concurrently as long as assembly stays row-major.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig
+from .benford import BaseConfig, _as_int
 from .series import (
     InvGammaParams,
     TruncationSpec,
@@ -43,7 +42,7 @@ class DeviationGridError(RuntimeError):
 class DeviationReport:
     """Max |F_B(z) - z| over a uniform closed z grid.
 
-    epsilon is the trunction certificate attached to every evaluated point
+    epsilon is the truncation certificate attached to every evaluated point
     (None when the base admits no certificate); the true maximum deviation
     lies within epsilon plus the grid-resolution slack of max_dev.
     """
@@ -78,12 +77,11 @@ class DeviationGrid:
             raise ValueError("dev matrix shape does not match the axis lengths")
 
 
-def _resolve_cutoff(params: InvGammaParams, base: BaseConfig, epsilon: float) -> tuple[int, float | None]:
-    """Cutoff plus certificate for any base; base 2 gets the uncertified heuristic."""
+def _resolve_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> tuple[TruncationSpec, bool]:
+    """Truncation for any base and whether it is certified; base 2 gets the uncertified heuristic."""
     if base.base == 2:
-        return _heuristic_cutoff(params, base, epsilon), None
-    spec = truncation_cutoff(params, base, epsilon)
-    return spec.cutoff_m, spec.epsilon
+        return TruncationSpec(epsilon, _heuristic_cutoff(params, base, epsilon)), False
+    return truncation_cutoff(params, base, epsilon), True
 
 
 def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
@@ -94,26 +92,18 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
     carries the epsilon certificate (base 2 values are uncertified).  The
     reported argmax_z attains max_dev exactly as evaluated on the grid.
     """
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise TypeError(f"grid_points must be an integer, got {grid_points!r}") from None
-    if grid_points < 101:
-        raise ValueError(f"grid_points must be >= 101, got {grid_points}")
-    eps = float(epsilon)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    cutoff_m, certificate = _resolve_cutoff(params, base, eps)
+    grid_points = _as_int(grid_points, "grid_points", 101)
+    trunc, certified = _resolve_cutoff(params, base, epsilon)
     zs = np.linspace(0.0, 1.0, grid_points)
-    values = fb_cdf_series_values(zs, params, base, TruncationSpec(eps, cutoff_m))
+    values = fb_cdf_series_values(zs, params, base, trunc)
     dev = np.abs(values - zs)
     idx = int(np.argmax(dev))
     return DeviationReport(
         max_dev=float(dev[idx]),
         argmax_z=float(zs[idx]),
-        epsilon=certificate,
+        epsilon=trunc.epsilon if certified else None,
         grid_points=grid_points,
-        cutoff_m=cutoff_m,
+        cutoff_m=trunc.cutoff_m,
     )
 
 
@@ -121,12 +111,7 @@ def _axis(spec, what: str) -> np.ndarray:
     lo, hi, steps = spec
     lo = float(lo)
     hi = float(hi)
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise TypeError(f"{what} steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError(f"{what} steps must be >= 1, got {steps}")
+    steps = _as_int(steps, f"{what} steps", 1)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or hi < lo:
         raise ValueError(f"{what} range must satisfy 0 < min <= max, got ({lo}, {hi})")
     if steps == 1:
@@ -165,12 +150,8 @@ def first_digit_probs(params: InvGammaParams, base: BaseConfig, epsilon) -> np.n
     at z = 1 exactly, so the entries telescope to F_B(1) - F_B(0) = 1 up to
     the per-point certificates.
     """
-    eps = float(epsilon)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    b = base.base
-    cutoff_m, _ = _resolve_cutoff(params, base, eps)
-    edges = np.log(np.arange(1, b + 1, dtype=float)) / base.log_base
+    trunc, _ = _resolve_cutoff(params, base, epsilon)
+    edges = np.log(np.arange(1, base.base + 1, dtype=float)) / base.log_base
     edges[-1] = 1.0  # log_B(B) exactly
-    values = fb_cdf_series_values(edges, params, base, TruncationSpec(eps, cutoff_m))
+    values = fb_cdf_series_values(edges, params, base, trunc)
     return np.diff(values)

@@ -31,12 +31,7 @@ class BaseConfig:
     log_base: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            base = operator.index(self.base)
-        except TypeError:
-            raise TypeError(f"base must be an integer, got {self.base!r}") from None
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+        base = _as_int(self.base, "base", 2)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "log_base", math.log(base))
 
@@ -49,11 +44,31 @@ class SignificandDecomposition:
     exponent: int
 
 
+# The argument checks shared by every module, the CLI's argparse types included.
+
+def _as_int(x, what: str, minimum: int | None = None) -> int:
+    """x as an exact integer (TypeError otherwise), at least `minimum` (ValueError)."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {x!r}") from None
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {n}")
+    return n
+
+
 def _as_positive_finite(x, what: str) -> float:
     fx = float(x)
     if not math.isfinite(fx) or fx <= 0.0:
         raise ValueError(f"{what} must be positive and finite, got {x!r}")
     return fx
+
+
+def _as_unit_interval(z) -> float:
+    fz = float(z)
+    if not math.isfinite(fz) or not 0.0 <= fz <= 1.0:
+        raise ValueError(f"z must lie in [0, 1], got {z!r}")
+    return fz
 
 
 def _scale_by_power(x: float, base: int, e: int) -> float:
@@ -122,10 +137,7 @@ def log_mod_1_array(values, base: BaseConfig) -> np.ndarray:
 
 def benford_digit_prob(d, base: BaseConfig) -> float:
     """Reference probability log_B((d+1)/d) of first digit d, 1 <= d <= B-1."""
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise TypeError(f"digit must be an integer, got {d!r}") from None
+    d = _as_int(d, "digit")
     if not 1 <= d <= base.base - 1:
         raise ValueError(f"digit must be in [1, {base.base - 1}], got {d}")
     return math.log1p(1.0 / d) / base.log_base

@@ -4,8 +4,12 @@ Subcommands: deviation, cdf, grid, verify, sample.  Data goes to stdout
 (CSV or JSON per --format); diagnostics, including the parameter metadata
 for CSV output, go to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 uncertified result refused (base 2 without
---allow-uncertified).  Output is buffered and deterministic: identical
-flags produce byte-identical stdout.
+--allow-uncertified).  Every flag value is checked by argparse with the
+library's own validators, so any bad value (a non-finite epsilon and a
+negative seed included) is a usage error: exit 2 with empty stdout.
+Output is buffered and deterministic: identical flags produce
+byte-identical stdout.  Samples come from numpy's PCG64 and
+Generator.standard_gamma.
 """
 
 import argparse
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import _resolve_cutoff, deviation_grid, max_deviation
-from .benford import BaseConfig, log_mod_1_array
+from .benford import BaseConfig, _as_int, _as_positive_finite, log_mod_1_array
 from .oracle import (
     OracleConfig,
     fb_cdf_oracle,
@@ -27,7 +31,6 @@ from .oracle import (
 )
 from .series import (
     InvGammaParams,
-    TruncationSpec,
     canonicalize_beta,
     fb_cdf_series_values,
 )
@@ -36,7 +39,6 @@ __all__ = ["main", "entry", "build_parser"]
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
-_EXIT_USAGE = 2
 _EXIT_UNCERTIFIED = 3
 
 
@@ -50,17 +52,22 @@ def _fixed(x: float, sig: int = 6) -> str:
     return f"{x:.{decimals}f}"
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return _EXIT_USAGE
+def _usage_type(check):
+    """argparse type from a library check: its ValueError becomes a usage error."""
+    def parse(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _parse_params(args) -> InvGammaParams | None:
-    if not math.isfinite(args.alpha) or args.alpha <= 0.0:
-        return None
-    if not math.isfinite(args.beta) or args.beta <= 0.0:
-        return None
-    return InvGammaParams(args.alpha, args.beta)
+def _positive(name: str):
+    return _usage_type(lambda text: _as_positive_finite(text, name))
+
+
+def _int_at_least(name: str, minimum: int):
+    return _usage_type(lambda text: _as_int(int(text), name, minimum))
 
 
 def _check_certifiable(args) -> int | None:
@@ -99,14 +106,21 @@ def _emit_metadata_stderr(metadata: dict) -> None:
     print(f"# {fields}", file=sys.stderr)
 
 
-def _add_common(sub, epsilon_default: float = 0.001) -> None:
-    sub.add_argument("--alpha", type=float, required=True, help="shape parameter (> 0)")
-    sub.add_argument("--beta", type=float, required=True, help="scale parameter (> 0)")
-    sub.add_argument("--base", type=int, default=10, help="integer base B >= 2 (default 10)")
-    sub.add_argument("--epsilon", type=float, default=epsilon_default,
-                     help=f"accuracy target (default {epsilon_default})")
-    sub.add_argument("--allow-uncertified", action="store_true",
-                     help="permit base-2 output, which carries no certificate")
+def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True) -> None:
+    """--alpha and --beta (unless `params` is false), --base, and --epsilon with
+    --allow-uncertified (unless `epsilon_default` is None)."""
+    if params:
+        sub.add_argument("--alpha", type=_positive("alpha"), required=True,
+                         help="shape parameter (> 0)")
+        sub.add_argument("--beta", type=_positive("beta"), required=True,
+                         help="scale parameter (> 0)")
+    sub.add_argument("--base", type=_int_at_least("base", 2), default=10,
+                     help="integer base B >= 2 (default 10)")
+    if epsilon_default is not None:
+        sub.add_argument("--epsilon", type=_positive("epsilon"), default=epsilon_default,
+                         help=f"accuracy target (default {epsilon_default})")
+        sub.add_argument("--allow-uncertified", action="store_true",
+                         help="permit base-2 output, which carries no certificate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,60 +133,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("deviation", help="max |F_B(z) - z| for one parameter point")
     _add_common(p)
-    p.add_argument("--grid-points", type=int, default=1001, help="z-grid resolution (default 1001)")
+    p.add_argument("--grid-points", type=_int_at_least("grid-points", 101), default=1001,
+                   help="z-grid resolution (default 1001)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("cdf", help="tabulate z, F_B(z) and the deviation from z")
     _add_common(p)
-    p.add_argument("--points", type=int, default=1001, help="number of z rows (default 1001)")
+    p.add_argument("--points", type=_int_at_least("points", 2), default=1001,
+                   help="number of z rows (default 1001)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = subs.add_parser("grid", help="sweep max deviation over an (alpha, beta) lattice")
-    p.add_argument("--alpha-min", type=float, required=True)
-    p.add_argument("--alpha-max", type=float, required=True)
-    p.add_argument("--alpha-steps", type=int, required=True)
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--beta-steps", type=int, required=True)
-    p.add_argument("--base", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--allow-uncertified", action="store_true")
+    for axis in ("alpha", "beta"):
+        p.add_argument(f"--{axis}-min", type=_positive(f"{axis}-min"), required=True)
+        p.add_argument(f"--{axis}-max", type=_positive(f"{axis}-max"), required=True)
+        p.add_argument(f"--{axis}-steps", type=_int_at_least(f"{axis}-steps", 1), required=True)
+    _add_common(p, params=False)
     p.add_argument("--summary", action="store_true",
                    help="also print the per-alpha spread of the deviation over beta")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = subs.add_parser("verify", help="cross-check series vs oracle vs Monte Carlo")
     _add_common(p, epsilon_default=1e-8)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_int_at_least("samples", 0), default=0,
                    help="Monte Carlo sample size; 0 skips the sampling check (default 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("sample", help="dump raw draws plus a first-digit histogram")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=10000, help="number of draws (default 10000)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", type=int, default=10, help="base for the digit histogram")
+    _add_common(p, epsilon_default=None)
+    p.add_argument("--n", type=_int_at_least("n", 1), default=10000,
+                   help="number of draws (default 10000)")
+    p.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     return parser
 
 
 def _cmd_deviation(args) -> int:
-    params = _parse_params(args)
-    if params is None:
-        return _usage_error("alpha must be positive" if args.alpha <= 0 or not math.isfinite(args.alpha)
-                            else "beta must be positive")
-    if args.base < 2:
-        return _usage_error("base must be an integer >= 2")
-    if args.epsilon <= 0:
-        return _usage_error("epsilon must be positive")
-    if args.grid_points < 101:
-        return _usage_error("grid-points must be at least 101")
     refused = _check_certifiable(args)
     if refused is not None:
         return refused
+    params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
     report = max_deviation(params, base, args.epsilon, args.grid_points)
     metadata = _metadata(params, base, args.epsilon, report.cutoff_m, report.certified)
@@ -193,24 +195,15 @@ def _cmd_deviation(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    params = _parse_params(args)
-    if params is None:
-        return _usage_error("alpha must be positive" if args.alpha <= 0 or not math.isfinite(args.alpha)
-                            else "beta must be positive")
-    if args.base < 2:
-        return _usage_error("base must be an integer >= 2")
-    if args.epsilon <= 0:
-        return _usage_error("epsilon must be positive")
-    if args.points < 2:
-        return _usage_error("points must be at least 2")
     refused = _check_certifiable(args)
     if refused is not None:
         return refused
+    params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
-    cutoff_m, certificate = _resolve_cutoff(params, base, args.epsilon)
+    trunc, certified = _resolve_cutoff(params, base, args.epsilon)
     zs = np.linspace(0.0, 1.0, args.points)
-    values = fb_cdf_series_values(zs, params, base, TruncationSpec(args.epsilon, cutoff_m))
-    metadata = _metadata(params, base, args.epsilon, cutoff_m, certificate is not None)
+    values = fb_cdf_series_values(zs, params, base, trunc)
+    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m, certified)
     if args.format == "json":
         payload = {
             "z": [float(z) for z in zs],
@@ -228,19 +221,6 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    for name in ("alpha_min", "alpha_max", "beta_min", "beta_max"):
-        if getattr(args, name) <= 0 or not math.isfinite(getattr(args, name)):
-            return _usage_error(f"{name.replace('_', '-')} must be positive")
-    if args.alpha_max < args.alpha_min:
-        return _usage_error("alpha-max must be >= alpha-min")
-    if args.beta_max < args.beta_min:
-        return _usage_error("beta-max must be >= beta-min")
-    if args.alpha_steps < 1 or args.beta_steps < 1:
-        return _usage_error("alpha-steps and beta-steps must be >= 1")
-    if args.base < 2:
-        return _usage_error("base must be an integer >= 2")
-    if args.epsilon <= 0:
-        return _usage_error("epsilon must be positive")
     refused = _check_certifiable(args)
     if refused is not None:
         return refused
@@ -284,22 +264,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = _parse_params(args)
-    if params is None:
-        return _usage_error("alpha must be positive" if args.alpha <= 0 or not math.isfinite(args.alpha)
-                            else "beta must be positive")
-    if args.base < 2:
-        return _usage_error("base must be an integer >= 2")
-    if args.epsilon <= 0:
-        return _usage_error("epsilon must be positive")
-    if args.samples < 0:
-        return _usage_error("samples must be >= 0")
     refused = _check_certifiable(args)
     if refused is not None:
         return refused
+    params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
-    cutoff_m, certificate = _resolve_cutoff(params, base, args.epsilon)
-    trunc = TruncationSpec(args.epsilon, cutoff_m)
+    trunc, certified = _resolve_cutoff(params, base, args.epsilon)
 
     checks = {}
 
@@ -324,7 +294,7 @@ def _cmd_verify(args) -> int:
         checks["ks_distance"] = {"value": ks, "tolerance": ks_tol, "passed": ks <= ks_tol}
 
     all_passed = all(c["passed"] for c in checks.values())
-    metadata = _metadata(params, base, args.epsilon, cutoff_m, certificate is not None)
+    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m, certified)
     if args.format == "json":
         _emit_json(metadata, {"checks": checks, "passed": all_passed})
     else:
@@ -340,14 +310,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    params = _parse_params(args)
-    if params is None:
-        return _usage_error("alpha must be positive" if args.alpha <= 0 or not math.isfinite(args.alpha)
-                            else "beta must be positive")
-    if args.n < 1:
-        return _usage_error("n must be >= 1")
-    if args.base < 2:
-        return _usage_error("base must be an integer >= 2")
+    params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
     batch = sample_invgamma(params, args.n, args.seed)
     frac = log_mod_1_array(batch.values, base)
@@ -392,6 +355,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "grid":
+            for axis in ("alpha", "beta"):
+                if getattr(args, f"{axis}_max") < getattr(args, f"{axis}_min"):
+                    parser.error(f"{axis}-max must be >= {axis}-min")
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code) if exc.code is not None else _EXIT_OK
     return _COMMANDS[args.command](args)

@@ -9,13 +9,12 @@ can arbitrate its correctness.
 """
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig, log_mod_1_array
+from .benford import BaseConfig, _as_int, _as_unit_interval, log_mod_1_array
 from .series import InvGammaParams, TruncationSpec, fb_cdf_series_values
 from .special import regularized_upper_gamma
 
@@ -34,6 +33,9 @@ __all__ = [
 # are redrawn (probability is already negligible for the supported shapes).
 _MIN_VARIATE = 1e-290
 
+# Stopping tolerance of the incomplete-gamma evaluations in fb_cdf_oracle.
+_QUAD_TOL = 1e-12
+
 
 class OracleTailWarning(UserWarning):
     """The summation window [-K, K] left visible tail mass uncovered."""
@@ -41,7 +43,7 @@ class OracleTailWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Window half-width K and incomplete-gamma stopping tolerance.
+    """Window half-width K of the direct summation.
 
     The default K = 60 makes both window tails smaller than 1e-300 for
     base 10 with beta in [1, 10); bases or scales far outside that range
@@ -49,20 +51,9 @@ class OracleConfig:
     """
 
     k_range: int = 60
-    quad_tol: float = 1e-12
 
     def __post_init__(self):
-        try:
-            k = operator.index(self.k_range)
-        except TypeError:
-            raise TypeError(f"k_range must be an integer, got {self.k_range!r}") from None
-        if k < 1:
-            raise ValueError(f"k_range must be >= 1, got {k}")
-        qt = float(self.quad_tol)
-        if not 0.0 < qt <= 1e-6:
-            raise ValueError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol!r}")
-        object.__setattr__(self, "k_range", k)
-        object.__setattr__(self, "quad_tol", qt)
+        object.__setattr__(self, "k_range", _as_int(self.k_range, "k_range", 1))
 
 
 def oracle_window(params: InvGammaParams, base: BaseConfig, *, tail: float = 1e-16) -> int:
@@ -88,13 +79,10 @@ def fb_cdf_oracle(z, params: InvGammaParams, base: BaseConfig,
     increasing in z with total 1 at z = 1.  Warns if the boundary terms at
     |k| = K exceed 1e-15 (window too narrow for the given scale).
     """
-    fz = float(z)
-    if not math.isfinite(fz) or not 0.0 <= fz <= 1.0:
-        raise ValueError(f"z must lie in [0, 1], got {z!r}")
+    fz = _as_unit_interval(z)
     a, b = params.alpha, params.beta
     bb = float(base.base)
     k_max = cfg.k_range
-    tol = cfg.quad_tol
     terms = []
     for k in range(-k_max, k_max + 1):
         if -k * base.log_base > 709.0:
@@ -104,8 +92,8 @@ def fb_cdf_oracle(z, params: InvGammaParams, base: BaseConfig,
         scale = bb ** float(-k)
         hi = b * scale * bb ** (-fz)
         lo = b * scale
-        terms.append(regularized_upper_gamma(a, hi, tol=tol)
-                     - regularized_upper_gamma(a, lo, tol=tol))
+        terms.append(regularized_upper_gamma(a, hi, tol=_QUAD_TOL)
+                     - regularized_upper_gamma(a, lo, tol=_QUAD_TOL))
     edge = max(abs(terms[0]), abs(terms[-1]))
     if edge > 1e-15:
         warnings.warn(
@@ -136,45 +124,16 @@ class SampleBatch:
             raise ValueError("all batch values must be positive and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "seed", operator.index(self.seed))
-
-
-def _gamma_shape_ge1(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """Marsaglia-Tsang squeeze sampler for Gamma(shape, 1), shape >= 1."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        need = n - filled
-        x = rng.standard_normal(need)
-        u = rng.random(need)
-        v = (1.0 + c * x) ** 3
-        x2 = x * x
-        positive = v > 0.0
-        squeeze = u < 1.0 - 0.0331 * x2 * x2
-        log_u = np.log(np.where(u > 0.0, u, 5e-324))
-        log_v = np.log(np.where(positive, v, 1.0))
-        accept = positive & (squeeze | (log_u < 0.5 * x2 + d * (1.0 - v + log_v)))
-        good = d * v[accept]
-        out[filled:filled + good.size] = good
-        filled += good.size
-    return out
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
 def _gamma_variates(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    def draw(count: int) -> np.ndarray:
-        if shape >= 1.0:
-            return _gamma_shape_ge1(rng, shape, count)
-        # boost: G_a = G_(a+1) * U^(1/a)
-        return _gamma_shape_ge1(rng, shape + 1.0, count) * rng.random(count) ** (1.0 / shape)
-
-    out = draw(n)
+    out = rng.standard_gamma(shape, n)
     for _ in range(500):
         tiny = out < _MIN_VARIATE
         if not tiny.any():
             return out
-        out[tiny] = draw(int(tiny.sum()))
+        out[tiny] = rng.standard_gamma(shape, int(tiny.sum()))
     # only reachable for shapes so small that 1/G routinely exceeds the
     # double range, i.e. the law itself is not representable
     raise ArithmeticError(f"cannot sample finite variates at shape {shape}")
@@ -184,16 +143,10 @@ def sample_invgamma(params: InvGammaParams, n, seed) -> SampleBatch:
     """Draw n reproducible inverse gamma variates as beta / Gamma(alpha, 1).
 
     The generator is numpy's PCG64 seeded explicitly (no global RNG state);
-    gamma variates come from the Marsaglia-Tsang squeeze for shape >= 1 and
-    the U^(1/shape) boost below 1.
+    gamma variates come from its Generator.standard_gamma.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    seed = operator.index(seed)
+    n = _as_int(n, "n", 1)
+    seed = _as_int(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     g = _gamma_variates(rng, params.alpha, n)
     return SampleBatch(values=params.beta / g, seed=seed, params=params)
@@ -201,9 +154,7 @@ def sample_invgamma(params: InvGammaParams, n, seed) -> SampleBatch:
 
 def empirical_log_cdf(batch: SampleBatch, base: BaseConfig, z) -> float:
     """Fraction of batch values whose log_B x mod 1 is at most z."""
-    fz = float(z)
-    if not math.isfinite(fz) or not 0.0 <= fz <= 1.0:
-        raise ValueError(f"z must lie in [0, 1], got {z!r}")
+    fz = _as_unit_interval(z)
     frac = log_mod_1_array(batch.values, base)
     return float(np.mean(frac <= fz))
 

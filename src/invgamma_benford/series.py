@@ -23,13 +23,18 @@ and safely shared across threads.
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .benford import BaseConfig, _scale_by_power
+from .benford import (
+    BaseConfig,
+    _as_int,
+    _as_positive_finite,
+    _as_unit_interval,
+    decompose_significand,
+)
 from .special import complex_log_gamma, regularized_upper_gamma
 
 __all__ = [
@@ -72,14 +77,8 @@ class InvGammaParams:
     beta: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        b = float(self.beta)
-        if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not math.isfinite(b) or b <= 0.0:
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "alpha", _as_positive_finite(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _as_positive_finite(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -93,17 +92,8 @@ class TruncationSpec:
     cutoff_m: int
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        try:
-            m = operator.index(self.cutoff_m)
-        except TypeError:
-            raise TypeError(f"cutoff_m must be an integer, got {self.cutoff_m!r}") from None
-        if m < 1:
-            raise ValueError(f"cutoff_m must be >= 1, got {m}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "cutoff_m", m)
+        object.__setattr__(self, "epsilon", _as_positive_finite(self.epsilon, "epsilon"))
+        object.__setattr__(self, "cutoff_m", _as_int(self.cutoff_m, "cutoff_m", 1))
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,11 @@ class SeriesEvaluation:
         return self.residual_bound is not None
 
 
-def _validate_unit_interval(z, what: str = "z") -> float:
-    fz = float(z)
-    if not math.isfinite(fz) or not 0.0 <= fz <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], got {z!r}")
-    return fz
+def _unit_interval_array(zs) -> np.ndarray:
+    arr = np.asarray(zs, dtype=float)
+    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
+        raise ValueError("all z must lie in [0, 1]")
+    return arr
 
 
 def invgamma_pdf(x, params: InvGammaParams) -> float:
@@ -136,9 +126,7 @@ def invgamma_pdf(x, params: InvGammaParams) -> float:
     Evaluated in log space, so extreme parameter combinations underflow to
     0.0 instead of overflowing intermediates.
     """
-    fx = float(x)
-    if not math.isfinite(fx) or fx <= 0.0:
-        raise ValueError(f"x must be positive and finite, got {x!r}")
+    fx = _as_positive_finite(x, "x")
     a, b = params.alpha, params.beta
     log_pdf = a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(fx) - b / fx
     if log_pdf < _EXP_UNDERFLOW:
@@ -164,19 +152,10 @@ def canonicalize_beta(params: InvGammaParams, base: BaseConfig) -> tuple[InvGamm
     The returned params satisfy params.beta == original * B**(-m).  All
     quantities describing log_B X mod 1 are invariant under this map.
     """
-    b = base.base
-    beta = params.beta
-    m = math.floor(math.log(beta) / base.log_base)
-    s = _scale_by_power(beta, b, -m)
-    while s >= b:
-        s /= b
-        m += 1
-    while s < 1.0:
-        s *= b
-        m -= 1
-    if m == 0:
+    d = decompose_significand(params.beta, base)
+    if d.exponent == 0:
         return params, 0
-    return InvGammaParams(params.alpha, s), m
+    return InvGammaParams(params.alpha, d.significand), d.exponent
 
 
 def _cutoff_threshold(alpha: float, beta_canonical: float, base: BaseConfig, epsilon: float) -> float:
@@ -201,21 +180,17 @@ def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> Trun
         raise UnsupportedBaseError(
             "no truncation certificate for base 2; use base >= 3 or evaluate uncertified"
         )
-    eps = float(epsilon)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    canonical, _ = canonicalize_beta(params, base)
-    threshold = _cutoff_threshold(canonical.alpha, canonical.beta, base, eps)
-    return TruncationSpec(epsilon=eps, cutoff_m=math.floor(threshold) + 1)
+    return TruncationSpec(epsilon=epsilon, cutoff_m=_heuristic_cutoff(params, base, epsilon))
 
 
-def _heuristic_cutoff(params: InvGammaParams, base: BaseConfig, epsilon: float) -> int:
-    """Cutoff from the same threshold formula, without any certificate claim.
+def _heuristic_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> int:
+    """Cutoff from the threshold formula, without any certificate claim.
 
-    Used for base 2, where the certified form is unavailable.
+    truncation_cutoff certifies it for base >= 3; base 2 uses it uncertified.
     """
+    eps = _as_positive_finite(epsilon, "epsilon")
     canonical, _ = canonicalize_beta(params, base)
-    return math.floor(_cutoff_threshold(canonical.alpha, canonical.beta, base, float(epsilon))) + 1
+    return math.floor(_cutoff_threshold(canonical.alpha, canonical.beta, base, eps)) + 1
 
 
 def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> float:
@@ -225,16 +200,11 @@ def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> f
     With z omitted, returns the z = 0 value, which dominates the expression
     over z in [0, 1].  Requires beta already canonicalized into [1, B).
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TypeError(f"cutoff must be an integer, got {m!r}") from None
-    if m < 1:
-        raise ValueError(f"cutoff must be >= 1, got {m}")
+    m = _as_int(m, "cutoff", 1)
     a, b = params.alpha, params.beta
     if not 1.0 <= b < base.base:
         raise ValueError(f"beta must lie in [1, {base.base}) (canonicalize first), got {b!r}")
-    zz = 0.0 if z is None else _validate_unit_interval(z)
+    zz = 0.0 if z is None else _as_unit_interval(z)
     lb = base.log_base
     lead = a * (1.0 - zz) * lb + math.log(b)
     # B^M, saturating to inf for huge cutoffs; Q(a, inf) = 0
@@ -256,10 +226,7 @@ def tail_bound_alpha1(base: BaseConfig, m) -> float:
     Valid (and enforced) for M >= ln 2 * ln B / (4 pi^2).  Much tighter than
     tail_bound_general when the shape is exactly 1.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TypeError(f"cutoff must be an integer, got {m!r}") from None
+    m = _as_int(m, "cutoff")
     lb = base.log_base
     floor_m = _alpha1_hypothesis_floor(base)
     if m < floor_m:
@@ -273,9 +240,7 @@ def cutoff_alpha1(base: BaseConfig, epsilon) -> int:
     Here a = pi^2/ln B, C = 4(pi^2 + ln B)/(pi ln B), and
     h = max(6, -log(a*epsilon/C)).
     """
-    eps = float(epsilon)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    eps = _as_positive_finite(epsilon, "epsilon")
     lb = base.log_base
     a = _PI_SQ / lb
     c = 4.0 * (_PI_SQ + lb) / (math.pi * lb)
@@ -369,7 +334,7 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
     The residual bound is the tighter of the applicable uniform tail
     expressions; None for base 2.
     """
-    fz = _validate_unit_interval(z)
+    fz = _as_unit_interval(z)
     canonical, _ = canonicalize_beta(params, base)
     value = float(_prime_values(np.array([fz]), canonical.alpha, canonical.beta,
                                 base, trunc.cutoff_m)[0])
@@ -380,9 +345,7 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
 def fb_prime_series_values(zs, params: InvGammaParams, base: BaseConfig,
                            trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_prime_series values over an array of z in [0, 1]."""
-    arr = np.asarray(zs, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("all z must lie in [0, 1]")
+    arr = _unit_interval_array(zs)
     canonical, _ = canonicalize_beta(params, base)
     return _prime_values(arr, canonical.alpha, canonical.beta, base, trunc.cutoff_m)
 
@@ -397,7 +360,7 @@ def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
     uniformly within epsilon, and integrating from 0 to z <= 1 keeps the
     CDF within epsilon as well.  None for base 2 (uncertified).
     """
-    fz = _validate_unit_interval(z)
+    fz = _as_unit_interval(z)
     canonical, _ = canonicalize_beta(params, base)
     value = float(_cdf_values(np.array([fz]), canonical.alpha, canonical.beta,
                               base, trunc.cutoff_m)[0])
@@ -412,8 +375,6 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
     Elementwise identical to fb_cdf_series (same coefficient table and
     summation order); used by grid sweeps and empirical-CDF comparisons.
     """
-    arr = np.asarray(zs, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("all z must lie in [0, 1]")
+    arr = _unit_interval_array(zs)
     canonical, _ = canonicalize_beta(params, base)
     return _cdf_values(arr, canonical.alpha, canonical.beta, base, trunc.cutoff_m)

@@ -254,6 +254,37 @@ class TestSampleCommand:
         assert code == 2 and "n must be" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # non-finite epsilon and negative seeds used to escape as tracebacks (exit 1)
+    ("deviation", "--alpha", "1", "--beta", "1", "--epsilon", "nan"),
+    ("cdf", "--alpha", "1", "--beta", "1", "--epsilon", "inf"),
+    ("grid", "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2",
+     "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2", "--epsilon", "nan"),
+    ("verify", "--alpha", "1", "--beta", "1", "--epsilon", "inf"),
+    ("verify", "--alpha", "1", "--beta", "1", "--samples", "100", "--seed", "-1"),
+    ("sample", "--alpha", "1", "--beta", "1", "--seed", "-1"),
+    ("deviation", "--alpha", "0", "--beta", "1"),
+    ("deviation", "--alpha", "1", "--beta", "nan"),
+    ("deviation", "--alpha", "1", "--beta", "1", "--base", "1"),
+    ("deviation", "--alpha", "1", "--beta", "1", "--epsilon", "0"),
+    ("deviation", "--alpha", "1", "--beta", "1", "--grid-points", "100"),
+    ("cdf", "--alpha", "1", "--beta", "1", "--points", "1"),
+    ("grid", "--alpha-min", "2", "--alpha-max", "1", "--alpha-steps", "2",
+     "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2"),
+    ("grid", "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "0",
+     "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2"),
+    ("verify", "--alpha", "-1", "--beta", "1"),
+    ("verify", "--alpha", "1", "--beta", "1", "--samples", "-1"),
+    ("sample", "--alpha", "1", "--beta", "1", "--n", "0"),
+    ("sample", "--alpha", "1", "--beta", "inf"),
+])
+def test_bad_flag_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 class TestParserBasics:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

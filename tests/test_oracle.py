@@ -25,10 +25,6 @@ B10 = BaseConfig(10)
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(k_range=0)
-    with pytest.raises(ValueError):
-        OracleConfig(quad_tol=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(quad_tol=1e-5)  # above the allowed ceiling
 
 
 class TestOracle:
