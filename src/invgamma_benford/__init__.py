@@ -41,7 +41,6 @@ from .series import (
     InvGammaParams,
     SeriesEvaluation,
     TruncationSpec,
-    UnsupportedBaseError,
     canonicalize_beta,
     cutoff_alpha1,
     fb_cdf_series,
@@ -63,7 +62,6 @@ __all__ = [
     "InvGammaParams",
     "TruncationSpec",
     "SeriesEvaluation",
-    "UnsupportedBaseError",
     "OracleConfig",
     "SampleBatch",
     "OracleTailWarning",

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig, _as_int
-from .series import (
-    InvGammaParams,
-    TruncationSpec,
-    _heuristic_cutoff,
-    fb_cdf_series_values,
-    truncation_cutoff,
-)
+from .benford import BaseConfig, _as_int, _as_positive_finite
+from .series import InvGammaParams, fb_cdf_series_values, truncation_cutoff
 
 __all__ = [
     "DeviationReport",
@@ -42,20 +36,16 @@ class DeviationGridError(RuntimeError):
 class DeviationReport:
     """Max |F_B(z) - z| over a uniform closed z grid.
 
-    epsilon is the truncation certificate attached to every evaluated point
-    (None when the base admits no certificate); the true maximum deviation
-    lies within epsilon plus the grid-resolution slack of max_dev.
+    epsilon is the truncation certificate attached to every evaluated point,
+    in every base; the true maximum deviation lies within epsilon plus the
+    grid-resolution slack of max_dev.
     """
 
     max_dev: float
     argmax_z: float
-    epsilon: float | None
+    epsilon: float
     grid_points: int
     cutoff_m: int
-
-    @property
-    def certified(self) -> bool:
-        return self.epsilon is not None
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class DeviationGrid:
     beta_values: np.ndarray
     base: BaseConfig
     dev: np.ndarray
-    epsilon: float | None
+    epsilon: float
 
     def __post_init__(self):
         for name in ("alpha_values", "beta_values", "dev"):
@@ -77,23 +67,16 @@ class DeviationGrid:
             raise ValueError("dev matrix shape does not match the axis lengths")
 
 
-def _resolve_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> tuple[TruncationSpec, bool]:
-    """Truncation for any base and whether it is certified; base 2 gets the uncertified heuristic."""
-    if base.base == 2:
-        return TruncationSpec(epsilon, _heuristic_cutoff(params, base, epsilon)), False
-    return truncation_cutoff(params, base, epsilon), True
-
-
 def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
                   grid_points: int = DEFAULT_GRID_POINTS) -> DeviationReport:
     """Evaluate |F_B(z) - z| on a uniform closed grid and report the max.
 
     The cutoff comes from truncation_cutoff(epsilon), so every grid value
-    carries the epsilon certificate (base 2 values are uncertified).  The
-    reported argmax_z attains max_dev exactly as evaluated on the grid.
+    carries the epsilon certificate.  The reported argmax_z attains max_dev
+    exactly as evaluated on the grid.
     """
     grid_points = _as_int(grid_points, "grid_points", 101)
-    trunc, certified = _resolve_cutoff(params, base, epsilon)
+    trunc = truncation_cutoff(params, base, epsilon)
     zs = np.linspace(0.0, 1.0, grid_points)
     values = fb_cdf_series_values(zs, params, base, trunc)
     dev = np.abs(values - zs)
@@ -101,7 +84,7 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
     return DeviationReport(
         max_dev=float(dev[idx]),
         argmax_z=float(zs[idx]),
-        epsilon=trunc.epsilon if certified else None,
+        epsilon=trunc.epsilon,
         grid_points=grid_points,
         cutoff_m=trunc.cutoff_m,
     )
@@ -125,22 +108,22 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon,
 
     Out-of-range beta values are fine: evaluation canonicalizes them into
     [1, B) internally, and the grid records the values as given.  Per-cell
-    failures are re-raised as DeviationGridError naming the cell.
+    failures are re-raised as DeviationGridError naming the cell; a bad
+    epsilon is a ValueError raised before any cell runs.
     """
+    eps = _as_positive_finite(epsilon, "epsilon")
     alphas = _axis(alpha_range, "alpha")
     betas = _axis(beta_range, "beta")
     dev = np.empty((alphas.size, betas.size))
-    certificate = None
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
             try:
-                report = max_deviation(InvGammaParams(a, b), base, epsilon, grid_points)
+                report = max_deviation(InvGammaParams(a, b), base, eps, grid_points)
             except Exception as exc:
                 raise DeviationGridError(f"cell alpha={a!r}, beta={b!r}: {exc}") from exc
             dev[i, j] = report.max_dev
-            certificate = report.epsilon
     return DeviationGrid(alpha_values=alphas, beta_values=betas, base=base,
-                         dev=dev, epsilon=certificate)
+                         dev=dev, epsilon=eps)
 
 
 def first_digit_probs(params: InvGammaParams, base: BaseConfig, epsilon) -> np.ndarray:
@@ -150,7 +133,7 @@ def first_digit_probs(params: InvGammaParams, base: BaseConfig, epsilon) -> np.n
     at z = 1 exactly, so the entries telescope to F_B(1) - F_B(0) = 1 up to
     the per-point certificates.
     """
-    trunc, _ = _resolve_cutoff(params, base, epsilon)
+    trunc = truncation_cutoff(params, base, epsilon)
     edges = np.log(np.arange(1, base.base + 1, dtype=float)) / base.log_base
     edges[-1] = 1.0  # log_B(B) exactly
     values = fb_cdf_series_values(edges, params, base, trunc)

@@ -3,9 +3,9 @@
 Subcommands: deviation, cdf, grid, verify, sample.  Data goes to stdout
 (CSV or JSON per --format); diagnostics, including the parameter metadata
 for CSV output, go to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 uncertified result refused (base 2 without
---allow-uncertified).  Every flag value is checked by argparse with the
-library's own validators, so any bad value (a non-finite epsilon and a
+failure, 2 usage error.  Every base B >= 2 is certified: the metadata key
+"certified" is always true.  Every flag value is checked by argparse with
+the library's own validators, so any bad value (a non-finite epsilon and a
 negative seed included) is a usage error: exit 2 with empty stdout.
 Output is buffered and deterministic: identical flags produce
 byte-identical stdout.  Samples come from numpy's PCG64 and
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import _resolve_cutoff, deviation_grid, max_deviation
+from .analysis import deviation_grid, max_deviation
 from .benford import BaseConfig, _as_int, _as_positive_finite, log_mod_1_array
 from .oracle import (
     OracleConfig,
@@ -33,13 +33,13 @@ from .series import (
     InvGammaParams,
     canonicalize_beta,
     fb_cdf_series_values,
+    truncation_cutoff,
 )
 
 __all__ = ["main", "entry", "build_parser"]
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
-_EXIT_UNCERTIFIED = 3
 
 
 def _fixed(x: float, sig: int = 6) -> str:
@@ -70,19 +70,8 @@ def _int_at_least(name: str, minimum: int):
     return _usage_type(lambda text: _as_int(int(text), name, minimum))
 
 
-def _check_certifiable(args) -> int | None:
-    if args.base == 2 and not args.allow_uncertified:
-        print(
-            "error: base 2 carries no accuracy certificate; "
-            "pass --allow-uncertified to proceed",
-            file=sys.stderr,
-        )
-        return _EXIT_UNCERTIFIED
-    return None
-
-
 def _metadata(params: InvGammaParams, base: BaseConfig, epsilon: float,
-              cutoff_m: int, certified: bool) -> dict:
+              cutoff_m: int) -> dict:
     canonical, _ = canonicalize_beta(params, base)
     return {
         "alpha": params.alpha,
@@ -91,7 +80,7 @@ def _metadata(params: InvGammaParams, base: BaseConfig, epsilon: float,
         "base": base.base,
         "epsilon": epsilon,
         "cutoff_m": cutoff_m,
-        "certified": certified,
+        "certified": True,
         "tool_version": __version__,
     }
 
@@ -107,8 +96,8 @@ def _emit_metadata_stderr(metadata: dict) -> None:
 
 
 def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True) -> None:
-    """--alpha and --beta (unless `params` is false), --base, and --epsilon with
-    --allow-uncertified (unless `epsilon_default` is None)."""
+    """--alpha and --beta (unless `params` is false), --base, and --epsilon
+    (unless `epsilon_default` is None)."""
     if params:
         sub.add_argument("--alpha", type=_positive("alpha"), required=True,
                          help="shape parameter (> 0)")
@@ -119,8 +108,6 @@ def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True)
     if epsilon_default is not None:
         sub.add_argument("--epsilon", type=_positive("epsilon"), default=epsilon_default,
                          help=f"accuracy target (default {epsilon_default})")
-        sub.add_argument("--allow-uncertified", action="store_true",
-                         help="permit base-2 output, which carries no certificate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,13 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_deviation(args) -> int:
-    refused = _check_certifiable(args)
-    if refused is not None:
-        return refused
     params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
     report = max_deviation(params, base, args.epsilon, args.grid_points)
-    metadata = _metadata(params, base, args.epsilon, report.cutoff_m, report.certified)
+    metadata = _metadata(params, base, args.epsilon, report.cutoff_m)
     payload = {
         "max_dev": report.max_dev,
         "argmax_z": report.argmax_z,
@@ -189,21 +173,18 @@ def _cmd_deviation(args) -> int:
     else:
         _emit_metadata_stderr(metadata)
         print("max_dev,argmax_z,epsilon,grid_points")
-        eps_text = _fixed(report.epsilon) if report.epsilon is not None else "uncertified"
-        print(f"{_fixed(report.max_dev)},{_fixed(report.argmax_z)},{eps_text},{report.grid_points}")
+        print(f"{_fixed(report.max_dev)},{_fixed(report.argmax_z)},"
+              f"{_fixed(report.epsilon)},{report.grid_points}")
     return _EXIT_OK
 
 
 def _cmd_cdf(args) -> int:
-    refused = _check_certifiable(args)
-    if refused is not None:
-        return refused
     params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
-    trunc, certified = _resolve_cutoff(params, base, args.epsilon)
+    trunc = truncation_cutoff(params, base, args.epsilon)
     zs = np.linspace(0.0, 1.0, args.points)
     values = fb_cdf_series_values(zs, params, base, trunc)
-    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m, certified)
+    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m)
     if args.format == "json":
         payload = {
             "z": [float(z) for z in zs],
@@ -221,9 +202,6 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    refused = _check_certifiable(args)
-    if refused is not None:
-        return refused
     base = BaseConfig(args.base)
     grid = deviation_grid(
         (args.alpha_min, args.alpha_max, args.alpha_steps),
@@ -236,7 +214,7 @@ def _cmd_grid(args) -> int:
         "beta_range": [args.beta_min, args.beta_max, args.beta_steps],
         "base": base.base,
         "epsilon": args.epsilon,
-        "certified": grid.epsilon is not None,
+        "certified": True,
         "tool_version": __version__,
     }
     spreads = [(float(a), float(row.max() - row.min()))
@@ -264,12 +242,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    refused = _check_certifiable(args)
-    if refused is not None:
-        return refused
     params = InvGammaParams(args.alpha, args.beta)
     base = BaseConfig(args.base)
-    trunc, certified = _resolve_cutoff(params, base, args.epsilon)
+    trunc = truncation_cutoff(params, base, args.epsilon)
 
     checks = {}
 
@@ -294,7 +269,7 @@ def _cmd_verify(args) -> int:
         checks["ks_distance"] = {"value": ks, "tolerance": ks_tol, "passed": ks <= ks_tol}
 
     all_passed = all(c["passed"] for c in checks.values())
-    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m, certified)
+    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m)
     if args.format == "json":
         _emit_json(metadata, {"checks": checks, "passed": all_passed})
     else:

@@ -4,16 +4,19 @@ distribution of log_B X mod 1, with certified truncation control.
 Writing F_B for the CDF of log_B(X) mod 1 when X is inverse-gamma with
 shape alpha and scale beta, the evaluation path used here is
 
-    F_B'(z) = 1 + (2/Gamma(a)) * sum_{k>=1} Re( r_k * e^{-2 pi i k (t - z)} )
+    F_B'(z) = 1 + 2 * sum_{k>=1} Re( r_k * e^{-2 pi i k (t - z)} )
     F_B(z)  = z + 2 * sum_{k>=1} Re( r_k * e^{-2 pi i k t}
                                      * (e^{2 pi i k z} - 1) / (2 pi i k) )
 
 with t = log_B(beta) and coefficients r_k = Gamma(a + 2 pi i k / ln B)
 / Gamma(a).  The coefficients decay like exp(-pi^2 k / ln B), so a handful
-of terms give near machine precision; truncation_cutoff chooses a cutoff M
-(terms |k| <= M-1 are summed) guaranteeing a uniform accuracy epsilon, and
-the closed-form tail expressions are exposed as tail_bound_general and
-tail_bound_alpha1.
+of terms give near machine precision.  A cutoff M sums the terms
+|k| <= M-1.  DLMF 5.8.3 bounds the dropped tail sum_{k>=M} |r_k| in
+closed form for every base B >= 2; truncation_cutoff uses that bound to
+choose M for a requested uniform accuracy epsilon, and every evaluation
+reports it as its residual bound.  The paper's closed-form tail
+expressions are kept as reproductions: tail_bound_general,
+tail_bound_alpha1 and cutoff_alpha1.
 
 Scaling beta by any power of B leaves every quantity here unchanged, so
 beta is canonicalized into [1, B) before evaluation.  All functions are
@@ -41,7 +44,6 @@ __all__ = [
     "InvGammaParams",
     "TruncationSpec",
     "SeriesEvaluation",
-    "UnsupportedBaseError",
     "invgamma_pdf",
     "invgamma_cdf",
     "canonicalize_beta",
@@ -61,14 +63,6 @@ _PI_SQ = math.pi * math.pi
 _EXP_UNDERFLOW = -745.0
 
 
-class UnsupportedBaseError(ValueError):
-    """Raised when a certificate is requested for base 2.
-
-    The truncation guarantees require an integer base >= 3; base-2 series
-    values can still be computed, but carry no residual bound.
-    """
-
-
 @dataclass(frozen=True)
 class InvGammaParams:
     """Shape alpha > 0 and scale beta > 0 of an inverse gamma distribution."""
@@ -86,6 +80,8 @@ class TruncationSpec:
     """Target uniform accuracy together with the series cutoff enforcing it.
 
     Terms with |k| <= cutoff_m - 1 are summed; |k| >= cutoff_m are dropped.
+    Evaluation and its residual bounds depend on cutoff_m alone, so a spec
+    built by hand may record an epsilon that its cutoff does not meet.
     """
 
     epsilon: float
@@ -100,17 +96,14 @@ class TruncationSpec:
 class SeriesEvaluation:
     """A truncated series value with its certified residual bound.
 
-    residual_bound is None when no certificate applies (base 2); otherwise
-    the true value lies within residual_bound of value.
+    The truncation error, the series value minus value, is at most
+    residual_bound in absolute value; floating-point rounding of the
+    summed terms (a few ulps) comes on top.
     """
 
     value: float
-    residual_bound: float | None
+    residual_bound: float
     cutoff_m: int
-
-    @property
-    def certified(self) -> bool:
-        return self.residual_bound is not None
 
 
 def _unit_interval_array(zs) -> np.ndarray:
@@ -158,39 +151,64 @@ def canonicalize_beta(params: InvGammaParams, base: BaseConfig) -> tuple[InvGamm
     return InvGammaParams(params.alpha, d.significand), d.exponent
 
 
-def _cutoff_threshold(alpha: float, beta_canonical: float, base: BaseConfig, epsilon: float) -> float:
-    """max(alpha + 1, -log_B(eps * Gamma(alpha) / (2 * B^alpha * beta)))."""
-    lb = base.log_base
-    t = -(math.log(epsilon) + math.lgamma(alpha) - _LOG2 - alpha * lb - math.log(beta_canonical)) / lb
-    return max(alpha + 1.0, t)
+def _tail_bound(alpha: float, base: BaseConfig, m: int) -> float:
+    """Rigorous bound S on sum_{k>=m} |r_k|, from DLMF 5.8.3.
+
+    With y_k = 2 pi k / ln B, y = y_m, d = 2 pi / ln B and c = alpha + 1,
+    |r_k|^2 = prod_{n>=0} (1 + y_k^2/(alpha+n)^2)^(-1).  The n = 0 factor is
+    kept; the integral test bounds the product over n >= 1 by e^(-H(y_k))
+    with H(y) = 2 y atan(y/c) - c log1p(y^2/c^2).  H is convex with
+    H'(y) = 2 atan(y/c), so the terms past m fall at least geometrically:
+
+        S <= (1 + y^2/alpha^2)^(-1/2) e^(-H(y)/2) / (1 - e^(-d atan(y/c))).
+
+    Evaluated in log space, so a tiny alpha cannot overflow y/alpha.  Every
+    factor decreases in y, hence S decreases in m.
+    """
+    d = _TWO_PI / base.log_base
+    y = d * m
+    c = alpha + 1.0
+    slope = math.atan(y / c)
+    h = 2.0 * y * slope - c * math.log1p((y / c) ** 2)
+    return math.exp(math.log(alpha) - math.log(math.hypot(alpha, y)) - 0.5 * h
+                    - math.log(-math.expm1(-d * slope)))
+
+
+def _cdf_residual(alpha: float, base: BaseConfig, m: int) -> float:
+    """Bound 2 S / (pi m) on the CDF truncation error, as |e^{2 pi i k z} - 1| <= 2."""
+    return 2.0 * _tail_bound(alpha, base, m) / (math.pi * m)
 
 
 def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> TruncationSpec:
-    """Smallest cutoff M strictly above the certified-accuracy threshold.
+    """Cutoff M whose certified CDF truncation error is at most epsilon, for any base >= 2.
 
-    M is the least integer exceeding
+    M starts at the paper's rule, the least integer exceeding
     max(alpha + 1, -log_B(eps * Gamma(alpha) / (2 * B^alpha * beta))) with
-    beta first canonicalized into [1, B).  Requires base >= 3.
+    beta first canonicalized into [1, B).  Where that M leaves the bound
+    2 S / (pi M) of the dropped terms (S from DLMF 5.8.3, see _tail_bound)
+    above epsilon, M is raised to the least value that meets it.
 
     Raises:
-        UnsupportedBaseError: for base 2 (no certificate is available).
-        ValueError: for epsilon <= 0.
-    """
-    if base.base == 2:
-        raise UnsupportedBaseError(
-            "no truncation certificate for base 2; use base >= 3 or evaluate uncertified"
-        )
-    return TruncationSpec(epsilon=epsilon, cutoff_m=_heuristic_cutoff(params, base, epsilon))
-
-
-def _heuristic_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> int:
-    """Cutoff from the threshold formula, without any certificate claim.
-
-    truncation_cutoff certifies it for base >= 3; base 2 uses it uncertified.
+        ValueError: for epsilon <= 0 or non-finite.
     """
     eps = _as_positive_finite(epsilon, "epsilon")
     canonical, _ = canonicalize_beta(params, base)
-    return math.floor(_cutoff_threshold(canonical.alpha, canonical.beta, base, eps)) + 1
+    a, lb = canonical.alpha, base.log_base
+    t = -(math.log(eps) + math.lgamma(a) - _LOG2 - a * lb - math.log(canonical.beta)) / lb
+    m = math.floor(max(a + 1.0, t)) + 1
+    if _cdf_residual(a, base, m) > eps:
+        # the bound decreases in M: double until it is met, then bisect
+        # between the last miss (lo) and the first hit (m)
+        lo, m = m, 2 * m
+        while _cdf_residual(a, base, m) > eps:
+            lo, m = m, 2 * m
+        while m - lo > 1:
+            mid = (lo + m) // 2
+            if _cdf_residual(a, base, mid) > eps:
+                lo = mid
+            else:
+                m = mid
+    return TruncationSpec(epsilon=eps, cutoff_m=m)
 
 
 def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> float:
@@ -199,6 +217,8 @@ def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> f
 
     With z omitted, returns the z = 0 value, which dominates the expression
     over z in [0, 1].  Requires beta already canonicalized into [1, B).
+    The paper's expression, kept as a reproduction: it bounds the tail of
+    the direct sum, not of this series, so evaluation does not use it.
     """
     m = _as_int(m, "cutoff", 1)
     a, b = params.alpha, params.beta
@@ -216,10 +236,6 @@ def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> f
     return upper_tail + power_term
 
 
-def _alpha1_hypothesis_floor(base: BaseConfig) -> float:
-    return _LOG2 * base.log_base / (4.0 * _PI_SQ)
-
-
 def tail_bound_alpha1(base: BaseConfig, m) -> float:
     """Shape-1 tail expression 4(pi^2 + ln B)/(pi sqrt(ln B)) * M * e^(-pi^2 M / ln B).
 
@@ -228,7 +244,7 @@ def tail_bound_alpha1(base: BaseConfig, m) -> float:
     """
     m = _as_int(m, "cutoff")
     lb = base.log_base
-    floor_m = _alpha1_hypothesis_floor(base)
+    floor_m = _LOG2 * lb / (4.0 * _PI_SQ)
     if m < floor_m:
         raise ValueError(f"cutoff {m} is below the validity floor {floor_m:.6g}")
     return 4.0 * (_PI_SQ + lb) / (math.pi * math.sqrt(lb)) * m * math.exp(-_PI_SQ * m / lb)
@@ -314,31 +330,19 @@ def _prime_values(zs: np.ndarray, alpha: float, beta_canonical: float,
     return total
 
 
-def _prime_residual(alpha: float, beta_canonical: float, base: BaseConfig,
-                    cutoff_m: int) -> float | None:
-    """Tightest applicable uniform tail expression, or None for base 2."""
-    if base.base == 2:
-        return None
-    canonical = InvGammaParams(alpha, beta_canonical)
-    bound = tail_bound_general(canonical, base, cutoff_m)
-    if alpha == 1.0 and cutoff_m >= _alpha1_hypothesis_floor(base):
-        bound = min(bound, tail_bound_alpha1(base, cutoff_m))
-    return bound
-
-
 def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
                     trunc: TruncationSpec) -> SeriesEvaluation:
     """Truncated series for F_B'(z), the density of log_B X mod 1.
 
     The cutoff-1 evaluation is exactly 1.0 (only the constant term remains).
-    The residual bound is the tighter of the applicable uniform tail
-    expressions; None for base 2.
+    The residual bound is 2 S, uniform in z, with S the bound of _tail_bound
+    on the dropped coefficients at trunc.cutoff_m.
     """
     fz = _as_unit_interval(z)
     canonical, _ = canonicalize_beta(params, base)
     value = float(_prime_values(np.array([fz]), canonical.alpha, canonical.beta,
                                 base, trunc.cutoff_m)[0])
-    residual = _prime_residual(canonical.alpha, canonical.beta, base, trunc.cutoff_m)
+    residual = 2.0 * _tail_bound(canonical.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
 
@@ -355,16 +359,15 @@ def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
     """Truncated series for F_B(z), the CDF of log_B X mod 1.
 
     F(0) = 0 and F(1) = 1 hold exactly (every summand carries an exact zero
-    factor at the endpoints).  When the cutoff comes from truncation_cutoff,
-    the residual bound is the requested epsilon: the derivative series is
-    uniformly within epsilon, and integrating from 0 to z <= 1 keeps the
-    CDF within epsilon as well.  None for base 2 (uncertified).
+    factor at the endpoints).  The residual bound is 2 S / (pi M), uniform
+    in z, with S the bound of _tail_bound at M = trunc.cutoff_m; a cutoff
+    from truncation_cutoff makes it at most the requested epsilon.
     """
     fz = _as_unit_interval(z)
     canonical, _ = canonicalize_beta(params, base)
     value = float(_cdf_values(np.array([fz]), canonical.alpha, canonical.beta,
                               base, trunc.cutoff_m)[0])
-    residual = None if base.base == 2 else trunc.epsilon
+    residual = _cdf_residual(canonical.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
 

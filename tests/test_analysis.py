@@ -74,8 +74,12 @@ class TestMaxDeviation:
         assert abs(fine.max_dev - coarse.max_dev) <= eps + lipschitz / 1000.0
 
     def test_base_two_uncertified(self):
-        report = max_deviation(InvGammaParams(1.0, 1.0), BaseConfig(2), 0.001)
-        assert report.epsilon is None and not report.certified
+        """Base 2 reports carry the requested epsilon as their certificate."""
+        p = InvGammaParams(1.0, 1.0)
+        b2 = BaseConfig(2)
+        report = max_deviation(p, b2, 0.001)
+        assert report.epsilon == 0.001
+        assert report.cutoff_m == truncation_cutoff(p, b2, 0.001).cutoff_m
         assert report.max_dev >= 0.0
 
     def test_validation(self):
@@ -131,6 +135,8 @@ class TestDeviationGrid:
             deviation_grid((1.0, 2.0, 0), (1.0, 2.0, 3), B10, 0.001)
         with pytest.raises(ValueError):
             deviation_grid((2.0, 1.0, 3), (1.0, 2.0, 3), B10, 0.001)
+        with pytest.raises(ValueError, match="epsilon"):
+            deviation_grid((1.0, 2.0, 3), (1.0, 2.0, 3), B10, 0.0)
 
 
 class TestFirstDigitProbs:

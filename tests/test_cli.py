@@ -47,17 +47,19 @@ class TestDeviationCommand:
         assert dev_a == dev_b
 
     def test_base_two_refused_without_flag(self, capsys):
-        code, _, err = run_cli(capsys, "deviation", "--alpha", "1", "--beta", "1", "--base", "2")
-        assert code == 3
-        assert "uncertified" in err.lower() or "certificate" in err.lower()
-
-    def test_base_two_allowed_with_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "deviation", "--alpha", "1", "--beta", "1",
-                               "--base", "2", "--allow-uncertified")
+        """Base 2 runs without any flag and is certified like every other base."""
+        code, out, _ = run_cli(capsys, "deviation", "--alpha", "1", "--beta", "1", "--base", "2")
         assert code == 0
         env = json.loads(out)
-        assert env["metadata"]["certified"] is False
-        assert env["payload"]["epsilon"] is None
+        assert env["metadata"]["certified"] is True
+        assert env["metadata"]["epsilon"] == env["payload"]["epsilon"] == 0.001
+
+    def test_base_two_allowed_with_flag(self, capsys):
+        """--allow-uncertified is not an option: a usage error with empty stdout."""
+        code, out, _ = run_cli(capsys, "deviation", "--alpha", "1", "--beta", "1",
+                               "--base", "2", "--allow-uncertified")
+        assert code == 2
+        assert out == ""
 
     def test_csv_format(self, capsys):
         code, out, err = run_cli(capsys, "deviation", "--alpha", "2", "--beta", "3",

@@ -15,7 +15,8 @@ from invgamma_benford.series import (
     InvGammaParams,
     SeriesEvaluation,
     TruncationSpec,
-    UnsupportedBaseError,
+    _cdf_residual,
+    _tail_bound,
     canonicalize_beta,
     cutoff_alpha1,
     fb_cdf_series,
@@ -127,8 +128,21 @@ class TestTruncationCutoff:
         assert all(a <= b for a, b in zip(cuts, cuts[1:]))
 
     def test_base_two_refused(self):
-        with pytest.raises(UnsupportedBaseError):
-            truncation_cutoff(InvGammaParams(1.0, 1.0), BaseConfig(2), 0.001)
+        """Base 2 is accepted and certified; the paper's M = 12 already meets epsilon."""
+        b2 = BaseConfig(2)
+        trunc = truncation_cutoff(InvGammaParams(1.0, 1.0), b2, 0.001)
+        assert trunc.cutoff_m == 12  # least integer above log2(4 / 0.001)
+        assert _cdf_residual(1.0, b2, 12) <= 0.001
+
+    def test_large_base_tight_epsilon_meets_epsilon(self):
+        # the paper's rule gives M = 8 here, whose sup error is 9.9e-12
+        b36 = BaseConfig(36)
+        p = InvGammaParams(0.31622776601683794, 1.0)
+        eps = 1e-12
+        zs = np.linspace(0.0, 1.0, 20001)
+        got = fb_cdf_series_values(zs, p, b36, truncation_cutoff(p, b36, eps))
+        ref = fb_cdf_series_values(zs, p, b36, TruncationSpec(eps, 100))
+        assert float(np.max(np.abs(got - ref))) <= eps
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -229,17 +243,33 @@ class TestPrimeSeries:
         assert fb_prime_series(0.0, p, B10, trunc).value == pytest.approx(fd, abs=1e-5)
 
     def test_residual_uses_tighter_alpha1_bound(self):
+        """At shape 1 the residual is the DLMF bound 2 S, not a paper tail expression."""
         p = InvGammaParams(1.0, 1.0)
         trunc = truncation_cutoff(p, B10, 0.001)
         ev = fb_prime_series(0.2, p, B10, trunc)
-        general = tail_bound_general(p, B10, trunc.cutoff_m)
-        alpha1 = tail_bound_alpha1(B10, trunc.cutoff_m)
-        assert ev.residual_bound == min(general, alpha1)
-        assert ev.certified
+        assert ev.residual_bound == 2.0 * _tail_bound(1.0, B10, trunc.cutoff_m)
+        zs = np.linspace(0.0, 1.0, 201)
+        big = fb_prime_series_values(zs, p, B10, TruncationSpec(1.0, 8 * trunc.cutoff_m))
+        gap = float(np.max(np.abs(fb_prime_series_values(zs, p, B10, trunc) - big)))
+        assert gap <= ev.residual_bound
 
     def test_uncertified_for_base_two(self):
-        ev = fb_prime_series(0.2, InvGammaParams(1.0, 1.0), BaseConfig(2), TruncationSpec(0.001, 9))
-        assert ev.residual_bound is None and not ev.certified
+        """Base 2 density values carry a residual bound like every other base."""
+        b2 = BaseConfig(2)
+        p = InvGammaParams(1.0, 1.0)
+        ev = fb_prime_series(0.2, p, b2, TruncationSpec(0.001, 9))
+        big = fb_prime_series(0.2, p, b2, TruncationSpec(0.001, 72))
+        assert ev.residual_bound == 2.0 * _tail_bound(1.0, b2, 9)
+        assert abs(ev.value - big.value) <= ev.residual_bound
+
+    def test_residual_bounds_observed_error(self):
+        # the paper's tail_bound_general claims 2.5e-37 here; the error is 3.0e-10
+        p = InvGammaParams(5.0, 3.0)
+        trunc = truncation_cutoff(p, B10, 1e-3)
+        zs = np.linspace(0.0, 1.0, 201)
+        big = fb_prime_series_values(zs, p, B10, TruncationSpec(1e-3, 8 * trunc.cutoff_m))
+        gap = float(np.max(np.abs(fb_prime_series_values(zs, p, B10, trunc) - big)))
+        assert gap <= fb_prime_series(0.0, p, B10, trunc).residual_bound
 
 
 class TestCdfSeries:
@@ -334,14 +364,27 @@ class TestCdfSeries:
         assert serial == threaded
 
     def test_uncertified_for_base_two(self):
-        ev = fb_cdf_series(0.5, InvGammaParams(1.0, 1.0), BaseConfig(2), TruncationSpec(0.001, 9))
-        assert ev.residual_bound is None and not ev.certified
+        """Base 2 CDF values carry a residual bound within the requested epsilon."""
+        b2 = BaseConfig(2)
+        p = InvGammaParams(1.0, 1.0)
+        ev = fb_cdf_series(0.5, p, b2, truncation_cutoff(p, b2, 0.001))
+        assert ev.residual_bound <= 0.001
         assert 0.0 <= ev.value <= 1.0
 
     def test_residual_is_requested_epsilon(self):
+        """The residual is the bound at the chosen cutoff, at most the requested epsilon."""
         p = InvGammaParams(4.0, 2.0)
         trunc = truncation_cutoff(p, B10, 1e-5)
-        assert fb_cdf_series(0.3, p, B10, trunc).residual_bound == 1e-5
+        ev = fb_cdf_series(0.3, p, B10, trunc)
+        assert ev.residual_bound == _cdf_residual(4.0, B10, trunc.cutoff_m)
+        assert ev.residual_bound <= 1e-5
+
+    def test_residual_follows_cutoff_not_request(self):
+        # a cutoff of 1 drops every term, whatever epsilon the spec records
+        p = InvGammaParams(1.0, 1.0)
+        ev = fb_cdf_series(0.5, p, B10, TruncationSpec(1e-12, 1))
+        full = fb_cdf_series(0.5, p, B10, TruncationSpec(1e-12, 40))
+        assert ev.residual_bound >= abs(ev.value - full.value)  # 0.025
 
     def test_z_domain(self):
         p = InvGammaParams(1.0, 1.0)
@@ -362,5 +405,11 @@ def test_truncation_spec_validation():
 
 
 def test_series_evaluation_certified_flag():
-    assert SeriesEvaluation(1.0, 1e-8, 5).certified
-    assert not SeriesEvaluation(1.0, None, 5).certified
+    """Every evaluation, in every base, carries a finite float residual bound."""
+    p = InvGammaParams(2.0, 3.0)
+    for base_int in (2, 3, 10, 36):
+        cfg = BaseConfig(base_int)
+        trunc = truncation_cutoff(p, cfg, 1e-6)
+        for ev in (fb_cdf_series(0.4, p, cfg, trunc), fb_prime_series(0.4, p, cfg, trunc)):
+            assert isinstance(ev, SeriesEvaluation)
+            assert type(ev.residual_bound) is float and math.isfinite(ev.residual_bound)
