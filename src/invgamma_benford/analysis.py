@@ -4,8 +4,9 @@ The scalar figure of merit is max over z in [0, 1] of |F_B(z) - z|: zero
 exactly when log_B X mod 1 is uniform, i.e. when X follows the reference
 first-digit law.  Sweeps evaluate it over rectangular parameter grids in
 deterministic row-major order (ascending alpha, then ascending beta), so
-repeated runs are bit-identical.  Cells are independent and could be
-computed concurrently as long as assembly stays row-major.
+repeated runs are bit-identical.  A row of the sweep (one alpha, every
+beta) is one call of the series kernel, which shares the z side of each
+term across the row; every cell still equals max_deviation bit for bit.
 """
 
 import math
@@ -13,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig, _as_int, _as_positive_finite
-from .series import InvGammaParams, fb_cdf_series_values, truncation_cutoff
+from .benford import BaseConfig, _as_epsilon, _as_int
+from .series import (
+    InvGammaParams,
+    _cdf_values,
+    _phase,
+    fb_cdf_series_values,
+    truncation_cutoff,
+)
 
 __all__ = [
     "DeviationReport",
@@ -107,21 +114,34 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon,
     """max_deviation at every lattice point of (min, max, steps) axis specs.
 
     Out-of-range beta values are fine: evaluation canonicalizes them into
-    [1, B) internally, and the grid records the values as given.  Per-cell
-    failures are re-raised as DeviationGridError naming the cell; a bad
-    epsilon is a ValueError raised before any cell runs.
+    [1, B) internally, and the grid records the values as given.  Each cell
+    gets its own cutoff, and each alpha row is evaluated by one kernel call,
+    so dev[i, j] equals max_deviation(alpha_i, beta_j).max_dev exactly.
+    Per-cell failures are re-raised as DeviationGridError naming the cell
+    (a failure of the row evaluation names the row); a bad epsilon or
+    grid_points is a ValueError raised before any cell runs.
     """
-    eps = _as_positive_finite(epsilon, "epsilon")
+    eps = _as_epsilon(epsilon)
+    grid_points = _as_int(grid_points, "grid_points", 101)
     alphas = _axis(alpha_range, "alpha")
     betas = _axis(beta_range, "beta")
+    zs = np.linspace(0.0, 1.0, grid_points)
     dev = np.empty((alphas.size, betas.size))
     for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
+        thetas, cutoffs = [], []
+        for b in betas:
             try:
-                report = max_deviation(InvGammaParams(a, b), base, eps, grid_points)
+                params = InvGammaParams(a, b)
+                cutoffs.append(truncation_cutoff(params, base, eps).cutoff_m)
+                thetas.append(_phase(params, base))
             except Exception as exc:
                 raise DeviationGridError(f"cell alpha={a!r}, beta={b!r}: {exc}") from exc
-            dev[i, j] = report.max_dev
+        try:
+            values = _cdf_values(zs, params.alpha, thetas, cutoffs, base)
+        except Exception as exc:
+            raise DeviationGridError(f"row alpha={a!r}: {exc}") from exc
+        np.subtract(values, zs, out=values)
+        dev[i] = np.abs(values, out=values).max(axis=1)
     return DeviationGrid(alpha_values=alphas, beta_values=betas, base=base,
                          dev=dev, epsilon=eps)
 

@@ -64,6 +64,15 @@ def _as_positive_finite(x, what: str) -> float:
     return fx
 
 
+def _as_epsilon(x) -> float:
+    """An accuracy target in (0, 1): at 1 or above a certificate bounds nothing,
+    since F_B(z) and z both lie in [0, 1]."""
+    eps = _as_positive_finite(x, "epsilon")
+    if eps >= 1.0:
+        raise ValueError(f"epsilon must be below 1, got {x!r}")
+    return eps
+
+
 def _as_unit_interval(z) -> float:
     fz = float(z)
     if not math.isfinite(fz) or not 0.0 <= fz <= 1.0:

@@ -5,8 +5,9 @@ Subcommands: deviation, cdf, grid, verify, sample.  Data goes to stdout
 for CSV output, go to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  Every base B >= 2 is certified: the metadata key
 "certified" is always true.  Every flag value is checked by argparse with
-the library's own validators, so any bad value (a non-finite epsilon and a
-negative seed included) is a usage error: exit 2 with empty stdout.
+the library's own validators, so any bad value (a non-finite epsilon, an
+epsilon of 1 or more and a negative seed included) is a usage error: exit 2
+with empty stdout.
 Output is buffered and deterministic: identical flags produce
 byte-identical stdout.  Samples come from numpy's PCG64 and
 Generator.standard_gamma.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import deviation_grid, max_deviation
-from .benford import BaseConfig, _as_int, _as_positive_finite, log_mod_1_array
+from .benford import BaseConfig, _as_epsilon, _as_int, _as_positive_finite, log_mod_1_array
 from .oracle import (
     OracleConfig,
     fb_cdf_oracle,
@@ -106,8 +107,8 @@ def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True)
     sub.add_argument("--base", type=_int_at_least("base", 2), default=10,
                      help="integer base B >= 2 (default 10)")
     if epsilon_default is not None:
-        sub.add_argument("--epsilon", type=_positive("epsilon"), default=epsilon_default,
-                         help=f"accuracy target (default {epsilon_default})")
+        sub.add_argument("--epsilon", type=_usage_type(_as_epsilon), default=epsilon_default,
+                         help=f"accuracy target in (0, 1) (default {epsilon_default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,15 @@ Scaling beta by any power of B leaves every quantity here unchanged, so
 beta is canonicalized into [1, B) before evaluation.  All functions are
 pure; the per-(alpha, base, cutoff) coefficient tables are cached read-only
 and safely shared across threads.
+
+One kernel, _cdf_values, evaluates F_B for one alpha and a row of phases
+t = log_B(beta), each with its own cutoff.  The z factor of term k is the
+same for every t, so it is computed once per k and shared by the row; the
+terms are summed with compensated (Kahan) accumulation in ascending k.
+fb_cdf_series and fb_cdf_series_values are its one-row case, and a
+deviation sweep calls it once per alpha row.  It uses elementwise numpy
+operations only (no BLAS), so a value never depends on the row it was
+computed in or on the thread count.
 """
 
 import cmath
@@ -33,6 +42,7 @@ import numpy as np
 
 from .benford import (
     BaseConfig,
+    _as_epsilon,
     _as_int,
     _as_positive_finite,
     _as_unit_interval,
@@ -189,9 +199,9 @@ def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> Trun
     above epsilon, M is raised to the least value that meets it.
 
     Raises:
-        ValueError: for epsilon <= 0 or non-finite.
+        ValueError: for epsilon outside (0, 1), non-finite included.
     """
-    eps = _as_positive_finite(epsilon, "epsilon")
+    eps = _as_epsilon(epsilon)
     canonical, _ = canonicalize_beta(params, base)
     a, lb = canonical.alpha, base.log_base
     t = -(math.log(eps) + math.lgamma(a) - _LOG2 - a * lb - math.log(canonical.beta)) / lb
@@ -281,11 +291,17 @@ def _gamma_ratio_table(alpha: float, base_int: int, cutoff_m: int) -> np.ndarray
     return table
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray,
+               spare: np.ndarray) -> None:
+    """One compensated step, y = term - comp; t = total + y; comp = (t - total) - y.
+
+    Works in place: y overwrites term, t goes to spare and comp is updated.
+    The caller then swaps the total and spare buffers instead of copying.
+    """
+    y = np.subtract(term, comp, out=term)
+    t = np.add(total, y, out=spare)
+    np.subtract(t, total, out=comp)
+    np.subtract(comp, y, out=comp)
 
 
 def _reduced_frac(u: np.ndarray) -> np.ndarray:
@@ -293,40 +309,99 @@ def _reduced_frac(u: np.ndarray) -> np.ndarray:
     return u - np.round(u)
 
 
-def _cdf_values(zs: np.ndarray, alpha: float, beta_canonical: float,
-                base: BaseConfig, cutoff_m: int) -> np.ndarray:
-    table = _gamma_ratio_table(alpha, base.base, cutoff_m)
-    theta = math.log(beta_canonical) / base.log_base
-    total = np.array(zs, dtype=float, copy=True)
-    comp = np.zeros_like(total)
+def _phase(params: InvGammaParams, base: BaseConfig) -> float:
+    """theta = log_B(beta) with beta canonicalized into [1, B), so theta in [0, 1)."""
+    canonical, _ = canonicalize_beta(params, base)
+    return math.log(canonical.beta) / base.log_base
+
+
+def _cdf_coefficients(table: np.ndarray, theta: float, cutoff_m: int) -> list:
+    """coef_k for k = 1..cutoff_m - 1, chosen so that the k-term plus its
+    conjugate equals 2 Re(coef_k w_k) with w_k = e^{2 pi i k z} - 1."""
+    coefs = []
     for k in range(1, cutoff_m):
         phase = _TWO_PI * (k * theta - round(k * theta))
-        # coef chosen so the k-term plus its conjugate equals 2*Re(coef * w)
-        # with w = e^{2 pi i k z} - 1
-        coef = table[k - 1] * complex(math.cos(phase), -math.sin(phase)) * complex(0.0, -1.0 / (_TWO_PI * k))
-        r = _reduced_frac(k * zs)
-        sp = np.sin(math.pi * r)
-        cp = np.cos(math.pi * r)
-        # w = e^{2 pi i r} - 1 = 2 sin(pi r) * (-sin(pi r) + i cos(pi r));
-        # exactly 0 at r = 0, so F(0) = 0 and F(1) = 1 hold by construction
-        w_re = -2.0 * sp * sp
-        w_im = 2.0 * sp * cp
-        term = 2.0 * (coef.real * w_re - coef.imag * w_im)
-        total, comp = _kahan_add(total, comp, term)
-    return total
+        coefs.append(table[k - 1] * complex(math.cos(phase), -math.sin(phase))
+                     * complex(0.0, -1.0 / (_TWO_PI * k)))
+    return coefs
 
 
-def _prime_values(zs: np.ndarray, alpha: float, beta_canonical: float,
+def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
+    """F_B at zs for one alpha and a row of phases theta_j, each with its own cutoff.
+
+    Returns an array of shape (len(thetas),) + zs.shape.  Term k splits into
+    a coefficient, which depends on theta_j, and a factor of z alone,
+    w = e^{2 pi i k z} - 1, computed once per k and shared by the whole
+    row.  Rows are kept in descending cutoff, so the rows still summing at
+    step k form a leading block; a row stops when k reaches its cutoff.
+    Each value is the same sequence of IEEE operations whatever the row
+    holds, so a one-phase call equals the matching row of a longer one bit
+    for bit.  No BLAS is involved: results do not depend on thread counts.
+    """
+    z = np.asarray(zs, dtype=float)
+    flat = z.ravel()
+    rows = len(thetas)
+    order = sorted(range(rows), key=cutoffs.__getitem__, reverse=True)
+    ms = [cutoffs[j] for j in order]
+    m_max = ms[0] if rows else 1
+    table = _gamma_ratio_table(alpha, base.base, m_max)
+    coef = np.zeros((m_max - 1, rows), dtype=complex)
+    for i, j in enumerate(order):
+        coef[:ms[i] - 1, i] = _cdf_coefficients(table, thetas[j], ms[i])
+    coef_re, coef_im = coef.real, coef.imag
+    total = np.empty((rows, z.size))
+    total[...] = flat
+    comp = np.zeros_like(total)
+    term = np.empty_like(total)
+    spare = np.empty_like(total)
+    r, sp, cp = np.empty(z.size), np.empty(z.size), np.empty(z.size)
+    # the active rows [:n] of each buffer; rebuilt only when n drops
+    n, tot, com, ter, spa = rows, total, comp, term, spare
+    for k in range(1, m_max):
+        if ms[n - 1] <= k:
+            while ms[n - 1] <= k:
+                # row n-1 has summed every term below its cutoff: freeze it in
+                # both buffers that take turns holding the total
+                n -= 1
+                spare[n] = total[n]
+            tot, com, ter, spa = total[:n], comp[:n], term[:n], spare[:n]
+        # w = e^{2 pi i r} - 1 = 2 sin(pi r) * (-sin(pi r) + i cos(pi r)) with r the
+        # reduced fraction of k z; exactly 0 at r = 0, so F(0) = 0 and F(1) = 1
+        # hold by construction
+        np.multiply(k, flat, out=r)
+        np.subtract(r, np.round(r, out=cp), out=r)
+        np.multiply(math.pi, r, out=r)
+        np.sin(r, out=sp)
+        np.cos(r, out=cp)
+        w_re = np.multiply(-2.0, sp, out=r)
+        np.multiply(w_re, sp, out=w_re)
+        w_im = np.multiply(2.0, sp, out=sp)
+        np.multiply(w_im, cp, out=w_im)
+        # term = 2 * (coef.real * w_re - coef.imag * w_im)
+        np.multiply(coef_re[k - 1, :n, None], w_re, out=ter)
+        np.multiply(coef_im[k - 1, :n, None], w_im, out=spa)
+        np.subtract(ter, spa, out=ter)
+        np.multiply(2.0, ter, out=ter)
+        _kahan_add(tot, com, ter, spa)
+        total, spare, tot, spa = spare, total, spa, tot
+    if order != list(range(rows)):
+        spare[order] = total
+        total = spare
+    return total.reshape((rows,) + z.shape)
+
+
+def _prime_values(zs: np.ndarray, alpha: float, theta: float,
                   base: BaseConfig, cutoff_m: int) -> np.ndarray:
     table = _gamma_ratio_table(alpha, base.base, cutoff_m)
-    theta = math.log(beta_canonical) / base.log_base
     total = np.ones_like(np.asarray(zs, dtype=float))
     comp = np.zeros_like(total)
+    spare = np.empty_like(total)
     for k in range(1, cutoff_m):
         r_k = table[k - 1]
         psi = _TWO_PI * _reduced_frac(k * (theta - zs))
         term = 2.0 * (r_k.real * np.cos(psi) + r_k.imag * np.sin(psi))
-        total, comp = _kahan_add(total, comp, term)
+        _kahan_add(total, comp, term, spare)
+        total, spare = spare, total
     return total
 
 
@@ -339,10 +414,9 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
     on the dropped coefficients at trunc.cutoff_m.
     """
     fz = _as_unit_interval(z)
-    canonical, _ = canonicalize_beta(params, base)
-    value = float(_prime_values(np.array([fz]), canonical.alpha, canonical.beta,
+    value = float(_prime_values(np.array([fz]), params.alpha, _phase(params, base),
                                 base, trunc.cutoff_m)[0])
-    residual = 2.0 * _tail_bound(canonical.alpha, base, trunc.cutoff_m)
+    residual = 2.0 * _tail_bound(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
 
@@ -350,8 +424,7 @@ def fb_prime_series_values(zs, params: InvGammaParams, base: BaseConfig,
                            trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_prime_series values over an array of z in [0, 1]."""
     arr = _unit_interval_array(zs)
-    canonical, _ = canonicalize_beta(params, base)
-    return _prime_values(arr, canonical.alpha, canonical.beta, base, trunc.cutoff_m)
+    return _prime_values(arr, params.alpha, _phase(params, base), base, trunc.cutoff_m)
 
 
 def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
@@ -364,10 +437,9 @@ def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
     from truncation_cutoff makes it at most the requested epsilon.
     """
     fz = _as_unit_interval(z)
-    canonical, _ = canonicalize_beta(params, base)
-    value = float(_cdf_values(np.array([fz]), canonical.alpha, canonical.beta,
-                              base, trunc.cutoff_m)[0])
-    residual = _cdf_residual(canonical.alpha, base, trunc.cutoff_m)
+    value = float(_cdf_values(np.array([fz]), params.alpha, [_phase(params, base)],
+                              [trunc.cutoff_m], base)[0, 0])
+    residual = _cdf_residual(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
 
@@ -376,8 +448,7 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
     """Vectorized fb_cdf_series values over an array of z in [0, 1].
 
     Elementwise identical to fb_cdf_series (same coefficient table and
-    summation order); used by grid sweeps and empirical-CDF comparisons.
+    summation order), and to the matching row of a deviation_grid sweep.
     """
     arr = _unit_interval_array(zs)
-    canonical, _ = canonicalize_beta(params, base)
-    return _cdf_values(arr, canonical.alpha, canonical.beta, base, trunc.cutoff_m)
+    return _cdf_values(arr, params.alpha, [_phase(params, base)], [trunc.cutoff_m], base)[0]

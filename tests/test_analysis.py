@@ -119,12 +119,17 @@ class TestDeviationGrid:
             assert float(row.max() - row.min()) < span
 
     def test_cell_errors_carry_coordinates(self, monkeypatch):
+        """A failure in one cell's own step (its cutoff) names that cell's alpha and beta."""
         import invgamma_benford.analysis as analysis_mod
 
-        def boom(params, base, epsilon, grid_points=1001):
-            raise ArithmeticError("synthetic cell failure")
+        real_cutoff = analysis_mod.truncation_cutoff
 
-        monkeypatch.setattr(analysis_mod, "max_deviation", boom)
+        def boom(params, base, epsilon):
+            if params.alpha == 2.0 and params.beta == 1.0:
+                raise ArithmeticError("synthetic cell failure")
+            return real_cutoff(params, base, epsilon)
+
+        monkeypatch.setattr(analysis_mod, "truncation_cutoff", boom)
         with pytest.raises(DeviationGridError, match="alpha=.*beta="):
             analysis_mod.deviation_grid((1.0, 2.0, 2), (1.0, 2.0, 2), B10, 0.001)
 
@@ -137,6 +142,43 @@ class TestDeviationGrid:
             deviation_grid((2.0, 1.0, 3), (1.0, 2.0, 3), B10, 0.001)
         with pytest.raises(ValueError, match="epsilon"):
             deviation_grid((1.0, 2.0, 3), (1.0, 2.0, 3), B10, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 7.0])
+    def test_epsilon_at_or_above_one_refused(self, epsilon):
+        # |F_B(z) - z| <= 1 always, so such a certificate bounds nothing
+        with pytest.raises(ValueError, match="epsilon"):
+            deviation_grid((1.0, 2.0, 3), (1.0, 2.0, 3), B10, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            max_deviation(InvGammaParams(1.0, 1.0), B10, epsilon)
+
+    @pytest.mark.parametrize("base_int", [3, 10, 16])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-10])
+    def test_every_cell_equals_max_deviation_bitwise(self, base_int, eps):
+        # small alphas mix cutoffs within a row; betas lie outside [1, B)
+        base = BaseConfig(base_int)
+        grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
+        cutoffs = set()
+        for i, a in enumerate(grid.alpha_values):
+            row = []
+            for j, b in enumerate(grid.beta_values):
+                p = InvGammaParams(a, b)
+                row.append(truncation_cutoff(p, base, eps).cutoff_m)
+                assert grid.dev[i, j] == max_deviation(p, base, eps).max_dev
+            cutoffs.add(len(set(row)))
+        assert max(cutoffs) > 1
+
+    def test_one_phase_call_equals_row_of_many(self):
+        from invgamma_benford.series import _cdf_values
+
+        zs = np.linspace(0.0, 1.0, 301)
+        b16 = BaseConfig(16)
+        thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
+        cutoffs = [9, 3, 14, 1, 9]
+        block = _cdf_values(zs, 0.4, thetas, cutoffs, b16)
+        assert block.shape == (5, 301)
+        for theta, m, row in zip(thetas, cutoffs, block):
+            assert np.array_equal(_cdf_values(zs, 0.4, [theta], [m], b16)[0], row)
+        assert np.array_equal(block[3], zs)  # cutoff 1 sums no terms
 
 
 class TestFirstDigitProbs:

@@ -279,6 +279,14 @@ class TestSampleCommand:
     ("verify", "--alpha", "1", "--beta", "1", "--samples", "-1"),
     ("sample", "--alpha", "1", "--beta", "1", "--n", "0"),
     ("sample", "--alpha", "1", "--beta", "inf"),
+    # an epsilon of 1 or more certifies nothing, since |F_B(z) - z| <= 1
+    ("deviation", "--alpha", "2", "--beta", "3", "--epsilon", "7"),
+    ("deviation", "--alpha", "2", "--beta", "3", "--epsilon", "1"),
+    ("cdf", "--alpha", "1", "--beta", "1", "--epsilon", "1"),
+    ("grid", "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2",
+     "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2", "--epsilon", "7"),
+    ("verify", "--alpha", "1", "--beta", "1", "--epsilon", "7"),
+    ("verify", "--alpha", "1", "--beta", "1", "--epsilon", "1"),
 ])
 def test_bad_flag_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -106,8 +106,17 @@ class TestTruncationCutoff:
     def test_hand_value_milli(self):
         assert truncation_cutoff(InvGammaParams(1.0, 1.0), B10, 0.001).cutoff_m == 5
 
-    def test_hand_value_unit(self):
-        assert truncation_cutoff(InvGammaParams(1.0, 1.0), B10, 1.0).cutoff_m == 3
+    def test_hand_value_half(self):
+        # the paper's threshold is 1.60 here, so alpha + 1 = 2 sets M = 3
+        assert truncation_cutoff(InvGammaParams(1.0, 1.0), B10, 0.5).cutoff_m == 3
+
+    @pytest.mark.parametrize("epsilon", [1.0, 7.0, 1e300])
+    def test_epsilon_at_or_above_one_refused(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be below 1"):
+            truncation_cutoff(InvGammaParams(1.0, 1.0), B10, epsilon)
+
+    def test_hand_built_spec_keeps_any_positive_epsilon(self):
+        assert TruncationSpec(7.0, 3).epsilon == 7.0
 
     def test_strictly_exceeds_threshold(self):
         rng = np.random.default_rng(23)
