@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig, _as_epsilon, _as_int
+from .benford import BaseConfig, _as_epsilon, _as_int, log_mod_1
 from .series import (
     InvGammaParams,
     _cdf_values,
-    _phase,
     fb_cdf_series_values,
     truncation_cutoff,
 )
@@ -133,7 +132,7 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon,
             try:
                 params = InvGammaParams(a, b)
                 cutoffs.append(truncation_cutoff(params, base, eps).cutoff_m)
-                thetas.append(_phase(params, base))
+                thetas.append(log_mod_1(params.beta, base))
             except Exception as exc:
                 raise DeviationGridError(f"cell alpha={a!r}, beta={b!r}: {exc}") from exc
         try:

@@ -103,9 +103,6 @@ def decompose_significand(x, base: BaseConfig) -> SignificandDecomposition:
     """
     fx = _as_positive_finite(x, "x")
     b = base.base
-    if b == 2:
-        mant, exp2 = math.frexp(fx)  # exact: fx = mant * 2**exp2, mant in [0.5, 1)
-        return SignificandDecomposition(2.0 * mant, exp2 - 1)
     k = math.floor(math.log(fx) / base.log_base)
     s = _scale_by_power(fx, b, -k)
     # the log estimate can be off by one near powers of B

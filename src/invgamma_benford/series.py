@@ -20,23 +20,23 @@ tail_bound_alpha1 and cutoff_alpha1.
 
 Scaling beta by any power of B leaves every quantity here unchanged, so
 beta is canonicalized into [1, B) before evaluation.  All functions are
-pure; the per-(alpha, base, cutoff) coefficient tables are cached read-only
-and safely shared across threads.
+pure and keep no module state: each evaluation builds its coefficient
+table once.
 
-One kernel, _cdf_values, evaluates F_B for one alpha and a row of phases
-t = log_B(beta), each with its own cutoff.  The z factor of term k is the
-same for every t, so it is computed once per k and shared by the row; the
-terms are summed with compensated (Kahan) accumulation in ascending k.
-fb_cdf_series and fb_cdf_series_values are its one-row case, and a
-deviation sweep calls it once per alpha row.  It uses elementwise numpy
-operations only (no BLAS), so a value never depends on the row it was
-computed in or on the thread count.
+One kernel, _cdf_sum, evaluates F_B from one coefficient table for a row
+of phases t = log_B(beta).  The z factor of term k is the same for every
+t, so it is computed once per k and shared by the row; the terms are
+summed with compensated (Kahan) accumulation in ascending k.
+fb_cdf_series and fb_cdf_series_values are its one-phase case.  A
+deviation sweep builds one table per alpha row, for the row's largest
+cutoff, and sums a prefix of it for each smaller cutoff.  Only elementwise
+numpy operations are used (no BLAS), so a value never depends on the row
+it was computed in or on the thread count.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .benford import (
     _as_positive_finite,
     _as_unit_interval,
     decompose_significand,
+    log_mod_1,
 )
 from .special import complex_log_gamma, regularized_upper_gamma
 
@@ -274,20 +275,17 @@ def cutoff_alpha1(base: BaseConfig, epsilon) -> int:
     return math.ceil((h + math.log(h) + 0.5) / a)
 
 
-@lru_cache(maxsize=512)
-def _gamma_ratio_table(alpha: float, base_int: int, cutoff_m: int) -> np.ndarray:
+def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndarray:
     """r_k = Gamma(alpha + 2 pi i k / ln B)/Gamma(alpha), k = 1..cutoff_m - 1.
 
-    Computed once per (alpha, base, cutoff) and shared read-only across all
-    z evaluations; ratios are formed in log space so large alpha never
-    overflows.
+    Ratios are formed in log space so large alpha never overflows.  Entry
+    k does not depend on cutoff_m, so table[:m - 1] is, bit for bit, the
+    table for any smaller cutoff m.
     """
-    lb = math.log(base_int)
-    lg = math.lgamma(alpha)
+    lb, lg = base.log_base, math.lgamma(alpha)
     table = np.empty(cutoff_m - 1, dtype=complex)
     for k in range(1, cutoff_m):
         table[k - 1] = cmath.exp(complex_log_gamma(complex(alpha, _TWO_PI * k / lb)) - lg)
-    table.setflags(write=False)
     return table
 
 
@@ -309,45 +307,33 @@ def _reduced_frac(u: np.ndarray) -> np.ndarray:
     return u - np.round(u)
 
 
-def _phase(params: InvGammaParams, base: BaseConfig) -> float:
-    """theta = log_B(beta) with beta canonicalized into [1, B), so theta in [0, 1)."""
-    canonical, _ = canonicalize_beta(params, base)
-    return math.log(canonical.beta) / base.log_base
-
-
-def _cdf_coefficients(table: np.ndarray, theta: float, cutoff_m: int) -> list:
-    """coef_k for k = 1..cutoff_m - 1, chosen so that the k-term plus its
+def _cdf_coefficients(table: np.ndarray, theta: float) -> list:
+    """coef_k for every entry r_k of table, chosen so that the k-term plus its
     conjugate equals 2 Re(coef_k w_k) with w_k = e^{2 pi i k z} - 1."""
     coefs = []
-    for k in range(1, cutoff_m):
+    for k, r_k in enumerate(table, 1):
         phase = _TWO_PI * (k * theta - round(k * theta))
-        coefs.append(table[k - 1] * complex(math.cos(phase), -math.sin(phase))
+        coefs.append(r_k * complex(math.cos(phase), -math.sin(phase))
                      * complex(0.0, -1.0 / (_TWO_PI * k)))
     return coefs
 
 
-def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
-    """F_B at zs for one alpha and a row of phases theta_j, each with its own cutoff.
+def _cdf_sum(zs, table: np.ndarray, thetas) -> np.ndarray:
+    """F_B at zs for a row of phases theta_j, summing every entry of table.
 
     Returns an array of shape (len(thetas),) + zs.shape.  Term k splits into
     a coefficient, which depends on theta_j, and a factor of z alone,
     w = e^{2 pi i k z} - 1, computed once per k and shared by the whole
-    row.  Rows are kept in descending cutoff, so the rows still summing at
-    step k form a leading block; a row stops when k reaches its cutoff.
-    Each value is the same sequence of IEEE operations whatever the row
-    holds, so a one-phase call equals the matching row of a longer one bit
-    for bit.  No BLAS is involved: results do not depend on thread counts.
+    row.  Each value is the same sequence of IEEE operations whatever the
+    row holds, so a one-phase call equals the matching row of a longer one
+    bit for bit.  No BLAS is involved: results do not depend on thread counts.
     """
     z = np.asarray(zs, dtype=float)
     flat = z.ravel()
     rows = len(thetas)
-    order = sorted(range(rows), key=cutoffs.__getitem__, reverse=True)
-    ms = [cutoffs[j] for j in order]
-    m_max = ms[0] if rows else 1
-    table = _gamma_ratio_table(alpha, base.base, m_max)
-    coef = np.zeros((m_max - 1, rows), dtype=complex)
-    for i, j in enumerate(order):
-        coef[:ms[i] - 1, i] = _cdf_coefficients(table, thetas[j], ms[i])
+    coef = np.zeros((len(table), rows), dtype=complex)
+    for j, theta in enumerate(thetas):
+        coef[:, j] = _cdf_coefficients(table, theta)
     coef_re, coef_im = coef.real, coef.imag
     total = np.empty((rows, z.size))
     total[...] = flat
@@ -355,16 +341,7 @@ def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarr
     term = np.empty_like(total)
     spare = np.empty_like(total)
     r, sp, cp = np.empty(z.size), np.empty(z.size), np.empty(z.size)
-    # the active rows [:n] of each buffer; rebuilt only when n drops
-    n, tot, com, ter, spa = rows, total, comp, term, spare
-    for k in range(1, m_max):
-        if ms[n - 1] <= k:
-            while ms[n - 1] <= k:
-                # row n-1 has summed every term below its cutoff: freeze it in
-                # both buffers that take turns holding the total
-                n -= 1
-                spare[n] = total[n]
-            tot, com, ter, spa = total[:n], comp[:n], term[:n], spare[:n]
+    for k in range(1, len(table) + 1):
         # w = e^{2 pi i r} - 1 = 2 sin(pi r) * (-sin(pi r) + i cos(pi r)) with r the
         # reduced fraction of k z; exactly 0 at r = 0, so F(0) = 0 and F(1) = 1
         # hold by construction
@@ -378,26 +355,35 @@ def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarr
         w_im = np.multiply(2.0, sp, out=sp)
         np.multiply(w_im, cp, out=w_im)
         # term = 2 * (coef.real * w_re - coef.imag * w_im)
-        np.multiply(coef_re[k - 1, :n, None], w_re, out=ter)
-        np.multiply(coef_im[k - 1, :n, None], w_im, out=spa)
-        np.subtract(ter, spa, out=ter)
-        np.multiply(2.0, ter, out=ter)
-        _kahan_add(tot, com, ter, spa)
-        total, spare, tot, spa = spare, total, spa, tot
-    if order != list(range(rows)):
-        spare[order] = total
-        total = spare
+        np.multiply(coef_re[k - 1, :, None], w_re, out=term)
+        np.multiply(coef_im[k - 1, :, None], w_im, out=spare)
+        np.subtract(term, spare, out=term)
+        np.multiply(2.0, term, out=term)
+        _kahan_add(total, comp, term, spare)
+        total, spare = spare, total
     return total.reshape((rows,) + z.shape)
 
 
-def _prime_values(zs: np.ndarray, alpha: float, theta: float,
-                  base: BaseConfig, cutoff_m: int) -> np.ndarray:
-    table = _gamma_ratio_table(alpha, base.base, cutoff_m)
+def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
+    """F_B at zs for one alpha and a row of phases theta_j, each with its own cutoff.
+
+    Builds one table for the largest cutoff and sums its prefix for each
+    smaller one; returns an array of shape (len(thetas),) + zs.shape.
+    """
+    z = np.asarray(zs, dtype=float)
+    table = _gamma_ratio_table(alpha, base, max(cutoffs))
+    out = np.empty((len(thetas),) + z.shape)
+    for m in set(cutoffs):
+        rows = [j for j, c in enumerate(cutoffs) if c == m]
+        out[rows] = _cdf_sum(z, table[:m - 1], [thetas[j] for j in rows])
+    return out
+
+
+def _prime_values(zs: np.ndarray, table: np.ndarray, theta: float) -> np.ndarray:
     total = np.ones_like(np.asarray(zs, dtype=float))
     comp = np.zeros_like(total)
     spare = np.empty_like(total)
-    for k in range(1, cutoff_m):
-        r_k = table[k - 1]
+    for k, r_k in enumerate(table, 1):
         psi = _TWO_PI * _reduced_frac(k * (theta - zs))
         term = 2.0 * (r_k.real * np.cos(psi) + r_k.imag * np.sin(psi))
         _kahan_add(total, comp, term, spare)
@@ -414,8 +400,8 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
     on the dropped coefficients at trunc.cutoff_m.
     """
     fz = _as_unit_interval(z)
-    value = float(_prime_values(np.array([fz]), params.alpha, _phase(params, base),
-                                base, trunc.cutoff_m)[0])
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    value = float(_prime_values(np.array([fz]), table, log_mod_1(params.beta, base))[0])
     residual = 2.0 * _tail_bound(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -424,7 +410,8 @@ def fb_prime_series_values(zs, params: InvGammaParams, base: BaseConfig,
                            trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_prime_series values over an array of z in [0, 1]."""
     arr = _unit_interval_array(zs)
-    return _prime_values(arr, params.alpha, _phase(params, base), base, trunc.cutoff_m)
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    return _prime_values(arr, table, log_mod_1(params.beta, base))
 
 
 def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
@@ -437,8 +424,8 @@ def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
     from truncation_cutoff makes it at most the requested epsilon.
     """
     fz = _as_unit_interval(z)
-    value = float(_cdf_values(np.array([fz]), params.alpha, [_phase(params, base)],
-                              [trunc.cutoff_m], base)[0, 0])
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    value = float(_cdf_sum(np.array([fz]), table, [log_mod_1(params.beta, base)])[0, 0])
     residual = _cdf_residual(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -451,4 +438,5 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
     summation order), and to the matching row of a deviation_grid sweep.
     """
     arr = _unit_interval_array(zs)
-    return _cdf_values(arr, params.alpha, [_phase(params, base)], [trunc.cutoff_m], base)[0]
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    return _cdf_sum(arr, table, [log_mod_1(params.beta, base)])[0]

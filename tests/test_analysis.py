@@ -167,6 +167,38 @@ class TestDeviationGrid:
             cutoffs.add(len(set(row)))
         assert max(cutoffs) > 1
 
+    def test_row_builds_one_table(self, monkeypatch):
+        """A row with mixed cutoffs builds one gamma-ratio table, for its largest cutoff."""
+        import invgamma_benford.series as series_mod
+
+        base, eps = BaseConfig(16), 1e-10
+        real, calls = series_mod.complex_log_gamma, []
+
+        def counting(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(series_mod, "complex_log_gamma", counting)
+        grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
+        expected, mixed = 0, False
+        for a in grid.alpha_values:
+            row = [truncation_cutoff(InvGammaParams(a, b), base, eps).cutoff_m
+                   for b in grid.beta_values]
+            expected += max(row) - 1
+            mixed = mixed or len(set(row)) > 1
+        assert mixed
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("alpha, base_int, m_big", [(0.02, 3, 9), (1.7, 10, 30),
+                                                        (40.0, 36, 60)])
+    def test_table_prefix_equals_smaller_table(self, alpha, base_int, m_big):
+        from invgamma_benford.series import _gamma_ratio_table
+
+        base = BaseConfig(base_int)
+        big = _gamma_ratio_table(alpha, base, m_big)
+        for m in (1, 2, m_big // 2, m_big - 1):
+            assert big[:m - 1].tobytes() == _gamma_ratio_table(alpha, base, m).tobytes()
+
     def test_one_phase_call_equals_row_of_many(self):
         from invgamma_benford.series import _cdf_values
 

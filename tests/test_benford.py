@@ -43,7 +43,7 @@ class TestDecompose:
             d = decompose_significand(float(10 ** n), b10)
             assert d.significand == 1.0 and d.exponent == n
         b2 = BaseConfig(2)
-        for n in range(-40, 41):
+        for n in range(-1074, 1024):  # subnormal 2**-1074 up to 2**1023
             d = decompose_significand(math.ldexp(1.0, n), b2)
             assert d.significand == 1.0 and d.exponent == n
 
@@ -80,6 +80,12 @@ class TestLogMod1:
     def test_exact_powers_map_to_zero(self):
         assert log_mod_1(1000.0, BaseConfig(10)) == 0.0
         assert log_mod_1(0.25, BaseConfig(2)) == 0.0
+
+    @pytest.mark.parametrize("base", [7, 16, 36])
+    def test_just_below_base_stays_below_one(self, base):
+        # log(s) / log(B) rounds up to 1.0 here; the result is clamped below 1
+        r = log_mod_1(math.nextafter(float(base), 0.0), BaseConfig(base))
+        assert 0.0 <= r < 1.0
 
     def test_direct_value(self):
         assert log_mod_1(250.0, BaseConfig(10)) == pytest.approx(math.log10(2.5), abs=1e-12)

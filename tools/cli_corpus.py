@@ -1,0 +1,70 @@
+"""Golden corpus of command-line invocations: exit code and stdout digest of each.
+
+    PYTHONPATH=<tree>/src python tools/cli_corpus.py > corpus.json
+
+Runs a fixed list of invocations in this process through
+invgamma_benford.cli.main and prints one JSON object that maps each argv,
+joined by spaces, to [exit code, sha256 of stdout].  Stderr is discarded.
+Run it on two trees and diff the outputs: identical files mean identical
+stdout bytes and exit codes on every invocation.  It takes a few seconds.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+from invgamma_benford import cli
+
+POINTS = [("0.05", "1e-3"), ("1", "1"), ("2.7", "6.1"), ("50", "123"), ("300", "0.5"),
+          ("0.01", "2e5")]
+
+
+def _grid(base, alpha, beta, *extra):
+    (a_lo, a_hi, a_n), (b_lo, b_hi, b_n) = alpha, beta
+    return ["grid", "--alpha-min", a_lo, "--alpha-max", a_hi, "--alpha-steps", a_n,
+            "--beta-min", b_lo, "--beta-max", b_hi, "--beta-steps", b_n,
+            "--base", base, *extra]
+
+
+def corpus():
+    runs = []
+    for base in ("3", "10", "16"):
+        for fmt in ("json", "csv"):
+            runs.append(_grid(base, ("0.05", "30", "7"), ("1e-5", "1e5", "9"), "--format", fmt))
+            runs.append(_grid(base, ("0.1", "50", "5"), ("1", "9.99", "6"), "--summary",
+                              "--epsilon", "1e-10", "--format", fmt))
+    runs.append(_grid("2", ("0.01", "2", "5"), ("0.5", "3", "4"), "--epsilon", "1e-12"))
+    runs.append(_grid("10", ("0.1", "50", "40"), ("1", "9.99", "40")))
+    for alpha, beta in POINTS:
+        point = ["--alpha", alpha, "--beta", beta]
+        for eps in ("1e-3", "1e-8", "1e-12"):
+            runs.append(["deviation", *point, "--epsilon", eps])
+        runs.append(["deviation", *point, "--base", "36", "--format", "csv"])
+    runs.append(["cdf", "--alpha", "0.7", "--beta", "2.5", "--points", "57",
+                 "--epsilon", "1e-9"])
+    runs.append(["cdf", "--alpha", "4", "--beta", "1.2", "--base", "7", "--points", "33",
+                 "--epsilon", "1e-9", "--format", "json"])
+    for seed in ("1", "7"):
+        runs.append(["verify", "--alpha", "0.5", "--beta", "2", "--samples", "20000",
+                     "--seed", seed])
+    runs.append(["verify", "--alpha", "5", "--beta", "3.3", "--base", "16", "--format", "csv"])
+    runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "2000", "--seed", "3"])
+    runs.append(["deviation", "--alpha", "1", "--beta", "1", "--epsilon", "1"])
+    return runs
+
+
+def main():
+    result = {}
+    for argv in corpus():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        result[" ".join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    json.dump(result, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
