@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 1001
+_MIN_GRID_POINTS = 101
 
 
 class DeviationGridError(RuntimeError):
@@ -81,7 +82,7 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
     carries the epsilon certificate.  The reported argmax_z attains max_dev
     exactly as evaluated on the grid.
     """
-    grid_points = _as_int(grid_points, "grid_points", 101)
+    grid_points = _as_int(grid_points, "grid_points", _MIN_GRID_POINTS)
     trunc = truncation_cutoff(params, base, epsilon)
     zs = np.linspace(0.0, 1.0, grid_points)
     values = fb_cdf_series_values(zs, params, base, trunc)
@@ -108,23 +109,22 @@ def _axis(spec, what: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon,
-                   grid_points: int = DEFAULT_GRID_POINTS) -> DeviationGrid:
+def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon) -> DeviationGrid:
     """max_deviation at every lattice point of (min, max, steps) axis specs.
 
     Out-of-range beta values are fine: evaluation canonicalizes them into
     [1, B) internally, and the grid records the values as given.  Each cell
-    gets its own cutoff, and each alpha row is evaluated by one kernel call,
-    so dev[i, j] equals max_deviation(alpha_i, beta_j).max_dev exactly.
-    Per-cell failures are re-raised as DeviationGridError naming the cell
-    (a failure of the row evaluation names the row); a bad epsilon or
-    grid_points is a ValueError raised before any cell runs.
+    gets its own cutoff, and each alpha row is evaluated by one kernel call
+    on max_deviation's default z grid, so dev[i, j] equals
+    max_deviation(alpha_i, beta_j).max_dev exactly.  Per-cell failures are
+    re-raised as DeviationGridError naming the cell (a failure of the row
+    evaluation names the row); a bad epsilon is a ValueError raised before
+    any cell runs.
     """
     eps = _as_epsilon(epsilon)
-    grid_points = _as_int(grid_points, "grid_points", 101)
     alphas = _axis(alpha_range, "alpha")
     betas = _axis(beta_range, "beta")
-    zs = np.linspace(0.0, 1.0, grid_points)
+    zs = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     dev = np.empty((alphas.size, betas.size))
     for i, a in enumerate(alphas):
         thetas, cutoffs = [], []

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import deviation_grid, max_deviation
+from .analysis import DEFAULT_GRID_POINTS, _MIN_GRID_POINTS, deviation_grid, max_deviation
 from .benford import BaseConfig, _as_epsilon, _as_int, _as_positive_finite, log_mod_1_array
 from .oracle import (
     OracleConfig,
@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("deviation", help="max |F_B(z) - z| for one parameter point")
     _add_common(p)
-    p.add_argument("--grid-points", type=_int_at_least("grid-points", 101), default=1001,
-                   help="z-grid resolution (default 1001)")
+    p.add_argument("--grid-points", type=_int_at_least("grid-points", _MIN_GRID_POINTS),
+                   default=DEFAULT_GRID_POINTS,
+                   help=f"z-grid resolution (default {DEFAULT_GRID_POINTS})")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("cdf", help="tabulate z, F_B(z) and the deviation from z")
@@ -252,14 +253,15 @@ def _cmd_verify(args) -> int:
     zs = np.linspace(0.0, 1.0, 21)
     series = fb_cdf_series_values(zs, params, base, trunc)
     cfg = OracleConfig(k_range=oracle_window(params, base))
-    gap = max(abs(float(series[i]) - fb_cdf_oracle(float(z), params, base, cfg))
-              for i, z in enumerate(zs))
+    oracle = [fb_cdf_oracle(float(z), params, base, cfg) for z in zs]
+    gap = max(abs(float(s) - o) for s, o in zip(series, oracle))
     tol = max(2.0 * args.epsilon, 1e-7)
     checks["series_vs_oracle"] = {"value": gap, "tolerance": tol, "passed": gap <= tol}
 
+    # zs[5], zs[10] and zs[15] are exactly 0.25, 0.5 and 0.75
     wide = OracleConfig(k_range=2 * cfg.k_range)
-    residue = max(abs(fb_cdf_oracle(z, params, base, cfg) - fb_cdf_oracle(z, params, base, wide))
-                  for z in (0.25, 0.5, 0.75))
+    residue = max(abs(oracle[i] - fb_cdf_oracle(float(zs[i]), params, base, wide))
+                  for i in (5, 10, 15))
     checks["oracle_k_convergence"] = {"value": residue, "tolerance": 1e-12,
                                       "passed": residue <= 1e-12}
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benford import BaseConfig, _as_int, _as_unit_interval, log_mod_1_array
+from .benford import (
+    BaseConfig,
+    _as_int,
+    _as_unit_interval,
+    decompose_significand,
+    log_mod_1_array,
+)
 from .series import InvGammaParams, TruncationSpec, fb_cdf_series_values
 from .special import regularized_upper_gamma
 
@@ -36,6 +42,14 @@ _MIN_VARIATE = 1e-290
 # Stopping tolerance of the incomplete-gamma evaluations in fb_cdf_oracle.
 _QUAD_TOL = 1e-12
 
+# oracle_window makes the window's boundary terms smaller than this.
+_WINDOW_TAIL = 1e-16
+
+# B^-k overflows once -k ln B exceeds _LOG_HUGE and rounds to 0 once k ln B
+# exceeds _LOG_TINY (below half the smallest subnormal, 2^-1075).
+_LOG_HUGE = 709.0
+_LOG_TINY = 1075 * math.log(2.0)
+
 
 class OracleTailWarning(UserWarning):
     """The summation window [-K, K] left visible tail mass uncovered."""
@@ -56,17 +70,19 @@ class OracleConfig:
         object.__setattr__(self, "k_range", _as_int(self.k_range, "k_range", 1))
 
 
-def oracle_window(params: InvGammaParams, base: BaseConfig, *, tail: float = 1e-16) -> int:
-    """Smallest window half-width K (>= 60) whose boundary terms fall below `tail`.
+def oracle_window(params: InvGammaParams, base: BaseConfig) -> int:
+    """Smallest window half-width K (>= 60) whose boundary terms fall below 1e-16.
 
     The k -> +inf boundary terms scale like (beta * B^-K)^alpha / Gamma(alpha+1),
     which for small shapes decays slowly enough that the default K = 60 is not
     converged; the k -> -inf side needs beta * B^K large enough that the upper
-    gamma tail underflows.
+    gamma tail underflows.  beta is the canonical scale in [1, B), as in
+    fb_cdf_oracle.
     """
-    a, b = params.alpha, params.beta
+    a = params.alpha
+    b = decompose_significand(params.beta, base).significand
     lb = base.log_base
-    k_pos = (math.log(b) - (math.log(tail) + math.lgamma(a + 1.0)) / a) / lb
+    k_pos = (math.log(b) - (math.log(_WINDOW_TAIL) + math.lgamma(a + 1.0)) / a) / lb
     k_neg = (math.log(800.0) - math.log(b)) / lb
     return max(60, math.ceil(k_pos) + 2, math.ceil(k_neg) + 2)
 
@@ -77,18 +93,29 @@ def fb_cdf_oracle(z, params: InvGammaParams, base: BaseConfig,
 
     Every term is a probability mass P(X in [B^k, B^(z+k)]), so the sum is
     increasing in z with total 1 at z = 1.  Warns if the boundary terms at
-    |k| = K exceed 1e-15 (window too narrow for the given scale).
+    |k| = K exceed 1e-15 (window too narrow for the given scale).  Terms
+    where B^-k overflows or underflows the double range are exactly zero;
+    the loop stops one such term past each end of that range, so the
+    result equals the full-window sum and the boundary check reads the
+    same terms.  beta is first scaled into [1, B), which leaves the law of
+    log_B X mod 1 unchanged and keeps beta * B^-k a double wherever B^-k
+    is one, so no mass near X ~ beta is lost to underflow.
     """
     fz = _as_unit_interval(z)
-    a, b = params.alpha, params.beta
+    a = params.alpha
+    b = decompose_significand(params.beta, base).significand
     bb = float(base.base)
+    lb = base.log_base
     k_max = cfg.k_range
+    k_lo = max(-k_max, -math.floor(_LOG_HUGE / lb) - 1)
+    k_hi = min(k_max, math.ceil(_LOG_TINY / lb) + 1)
     terms = []
-    for k in range(-k_max, k_max + 1):
-        if -k * base.log_base > 709.0:
+    for k in range(k_lo, k_hi + 1):
+        if -k * lb > _LOG_HUGE:
             # B^-k would overflow: both masses sit above any double, Q = 0 - 0
             terms.append(0.0)
             continue
+        # past _LOG_TINY, scale underflows to 0 and the term is Q(a, 0) - Q(a, 0)
         scale = bb ** float(-k)
         hi = b * scale * bb ** (-fz)
         lo = b * scale

@@ -38,6 +38,15 @@ class TestOracle:
         a = fb_cdf_oracle(0.3, p, B10, OracleConfig(k_range=60))
         b = fb_cdf_oracle(0.3, scaled, B10, OracleConfig(k_range=61))
         assert a == pytest.approx(b, abs=1e-12)
+        # scales far outside [1, B): the oracle sums over the canonical beta,
+        # so no mass near X ~ beta is lost where B^-k underflows
+        for alpha, factor in ((0.05, 1e300), (0.2, 1e300), (0.05, 1e-300)):
+            p = InvGammaParams(alpha, 3.0)
+            scaled = InvGammaParams(alpha, 3.0 * factor)
+            a = fb_cdf_oracle(0.3, p, B10, OracleConfig(k_range=oracle_window(p, B10)))
+            b = fb_cdf_oracle(0.3, scaled, B10,
+                              OracleConfig(k_range=oracle_window(scaled, B10)))
+            assert a == pytest.approx(b, abs=1e-12), (alpha, factor)
 
     def test_self_convergence(self):
         p = InvGammaParams(1.0, 1.0)
@@ -72,6 +81,36 @@ class TestOracle:
 
     def test_window_helper_defaults_to_sixty(self):
         assert oracle_window(InvGammaParams(2.0, 3.0), B10) == 60
+
+    def test_sum_skips_terms_outside_the_double_range(self, monkeypatch):
+        """At alpha = 1e-6 in base 2 the window has ~5e7 k on each side, but
+        only the ~2,100 k where 2^-k is a nonzero double can carry mass."""
+        import invgamma_benford.oracle as oracle_mod
+
+        real = oracle_mod.regularized_upper_gamma
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise AssertionError("more than 10,000 incomplete-gamma calls")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "regularized_upper_gamma", counted)
+        p = InvGammaParams(1e-6, 1.0)
+        b2 = BaseConfig(2)
+        k = oracle_window(p, b2)
+        assert k > 5 * 10 ** 7
+        fb_cdf_oracle(0.5, p, b2, OracleConfig(k_range=k))
+
+    def test_window_past_the_double_range_changes_nothing(self):
+        p = InvGammaParams(0.01, 1.0)
+        assert oracle_window(p, B10) == 1603
+        for z in (0.0, 0.3, 0.7, 1.0):
+            a = fb_cdf_oracle(z, p, B10, OracleConfig(k_range=1603))
+            b = fb_cdf_oracle(z, p, B10, OracleConfig(k_range=4000))
+            assert a.hex() == b.hex()
 
     def test_matches_series_within_certificate_on_acceptance_grid(self):
         eps = 1e-8
