@@ -5,8 +5,8 @@ exactly when log_B X mod 1 is uniform, i.e. when X follows the reference
 first-digit law.  Sweeps evaluate it over rectangular parameter grids in
 deterministic row-major order (ascending alpha, then ascending beta), so
 repeated runs are bit-identical.  A row of the sweep (one alpha, every
-beta) is one call of the series kernel, which shares the z side of each
-term across the row; every cell still equals max_deviation bit for bit.
+beta) is one call of the series kernel, which computes w = e^{2 pi i z}
+once for the whole row; every cell still equals max_deviation bit for bit.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 from .benford import BaseConfig, _as_epsilon, _as_int, log_mod_1
 from .series import (
     InvGammaParams,
-    _cdf_values,
+    _cdf_rows,
     fb_cdf_series_values,
     truncation_cutoff,
 )
@@ -136,7 +136,7 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon) -> Deviat
             except Exception as exc:
                 raise DeviationGridError(f"cell alpha={a!r}, beta={b!r}: {exc}") from exc
         try:
-            values = _cdf_values(zs, params.alpha, thetas, cutoffs, base)
+            values = _cdf_rows(zs, params.alpha, thetas, cutoffs, base)
         except Exception as exc:
             raise DeviationGridError(f"row alpha={a!r}: {exc}") from exc
         np.subtract(values, zs, out=values)

@@ -3,11 +3,11 @@
 Subcommands: deviation, cdf, grid, verify, sample.  Data goes to stdout
 (CSV or JSON per --format); diagnostics, including the parameter metadata
 for CSV output, go to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Every base B >= 2 is certified: the metadata key
-"certified" is always true.  Every flag value is checked by argparse with
-the library's own validators, so any bad value (a non-finite epsilon, an
-epsilon of 1 or more and a negative seed included) is a usage error: exit 2
-with empty stdout.
+failure, 2 usage error.  Every base 2 <= B <= 2**53 is certified: the
+metadata key "certified" is always true.  Every flag value is checked by
+argparse with the library's own validators, so any bad value (a
+non-finite epsilon, an epsilon of 1 or more, a base above 2**53 and a
+negative seed included) is a usage error: exit 2 with empty stdout.
 Output is buffered and deterministic: identical flags produce
 byte-identical stdout.  Samples come from numpy's PCG64 and
 Generator.standard_gamma.
@@ -41,6 +41,9 @@ __all__ = ["main", "entry", "build_parser"]
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
+# the largest base that float(B) holds exactly; the oracle and the digit
+# histogram compute with float(B)
+_MAX_BASE = 2 ** 53
 
 
 def _fixed(x: float, sig: int = 6) -> str:
@@ -69,6 +72,13 @@ def _positive(name: str):
 
 def _int_at_least(name: str, minimum: int):
     return _usage_type(lambda text: _as_int(int(text), name, minimum))
+
+
+def _base(text: str) -> int:
+    base = _as_int(int(text), "base", 2)
+    if base > _MAX_BASE:
+        raise ValueError(f"base must be <= 2**53, got {base}")
+    return base
 
 
 def _metadata(params: InvGammaParams, base: BaseConfig, epsilon: float,
@@ -104,8 +114,8 @@ def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True)
                          help="shape parameter (> 0)")
         sub.add_argument("--beta", type=_positive("beta"), required=True,
                          help="scale parameter (> 0)")
-    sub.add_argument("--base", type=_int_at_least("base", 2), default=10,
-                     help="integer base B >= 2 (default 10)")
+    sub.add_argument("--base", type=_usage_type(_base), default=10,
+                     help="integer base 2 <= B <= 2**53 (default 10)")
     if epsilon_default is not None:
         sub.add_argument("--epsilon", type=_usage_type(_as_epsilon), default=epsilon_default,
                          help=f"accuracy target in (0, 1) (default {epsilon_default})")

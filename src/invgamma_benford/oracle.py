@@ -31,7 +31,6 @@ __all__ = [
     "oracle_window",
     "fb_cdf_oracle",
     "sample_invgamma",
-    "empirical_log_cdf",
     "ks_distance",
 ]
 
@@ -177,13 +176,6 @@ def sample_invgamma(params: InvGammaParams, n, seed) -> SampleBatch:
     rng = np.random.Generator(np.random.PCG64(seed))
     g = _gamma_variates(rng, params.alpha, n)
     return SampleBatch(values=params.beta / g, seed=seed, params=params)
-
-
-def empirical_log_cdf(batch: SampleBatch, base: BaseConfig, z) -> float:
-    """Fraction of batch values whose log_B x mod 1 is at most z."""
-    fz = _as_unit_interval(z)
-    frac = log_mod_1_array(batch.values, base)
-    return float(np.mean(frac <= fz))
 
 
 def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,

@@ -23,15 +23,21 @@ beta is canonicalized into [1, B) before evaluation.  All functions are
 pure and keep no module state: each evaluation builds its coefficient
 table once.
 
-One kernel, _cdf_sum, evaluates F_B from one coefficient table for a row
-of phases t = log_B(beta).  The z factor of term k is the same for every
-t, so it is computed once per k and shared by the row; the terms are
-summed with compensated (Kahan) accumulation in ascending k.
-fb_cdf_series and fb_cdf_series_values are its one-phase case.  A
-deviation sweep builds one table per alpha row, for the row's largest
-cutoff, and sums a prefix of it for each smaller cutoff.  Only elementwise
-numpy operations are used (no BLAS), so a value never depends on the row
-it was computed in or on the thread count.
+Both series are polynomials in w = e^{2 pi i z}.  With a_k = r_k
+e^{-2 pi i k t}, c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
+
+    F_B'(z) = 1 + 2 Re( w * sum_{k<M} a_k w^(k-1) )
+    F_B(z)  = z + 2 Re( (w - 1) * sum_{j<M-1} d_j w^j )
+
+and one routine, _horner, evaluates both by Horner's rule (its rounding
+is the gamma_n analysis of Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 5).  w - 1 is formed from sin(pi z), so it is exactly 0
+at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  A deviation
+sweep evaluates an alpha row in one call, from one table for the row's
+largest cutoff with each cell's coefficients set to 0 from its own cutoff
+on.  Only elementwise operations on real float64 arrays are used (no BLAS,
+no complex arrays), so a value never depends on the row it was computed
+in or on the thread count.
 """
 
 import cmath
@@ -289,106 +295,89 @@ def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndar
     return table
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray,
-               spare: np.ndarray) -> None:
-    """One compensated step, y = term - comp; t = total + y; comp = (t - total) - y.
+def _unit_points(zs):
+    """w = e^{2 pi i z} and w - 1 at every z, each as real and imaginary arrays.
 
-    Works in place: y overwrites term, t goes to spare and comp is updated.
-    The caller then swaps the total and spare buffers instead of copying.
+    w - 1 = 2 sin(pi r) (-sin(pi r) + i cos(pi r)) with r = z minus its
+    nearest integer, so it is exactly 0 at z = 0 and z = 1.
     """
-    y = np.subtract(term, comp, out=term)
-    t = np.add(total, y, out=spare)
-    np.subtract(t, total, out=comp)
-    np.subtract(comp, y, out=comp)
+    z = np.asarray(zs, dtype=float).ravel()
+    half = math.pi * (z - np.round(z))
+    s, c = np.sin(half), np.cos(half)
+    v_re, v_im = -2.0 * s * s, 2.0 * s * c
+    return 1.0 + v_re, v_im, v_re, v_im
 
 
-def _reduced_frac(u: np.ndarray) -> np.ndarray:
-    """u minus its nearest integer, in [-1/2, 1/2]; exact 0 at integer u."""
-    return u - np.round(u)
+def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoffs):
+    """a_k = r_k e^{-2 pi i k theta_j} for k = 1..max(cutoffs) - 1, one column per
+    phase theta_j, as real and imaginary arrays; column j is 0 from k = cutoffs[j] on."""
+    table = _gamma_ratio_table(alpha, base, max(cutoffs))
+    k = np.arange(1.0, len(table) + 1.0)[:, None]
+    u = k * np.asarray(thetas, dtype=float)
+    phase = _TWO_PI * (u - np.round(u))
+    cos, sin = np.cos(phase), np.sin(phase)
+    r_re, r_im = table.real[:, None], table.imag[:, None]
+    a_re, a_im = r_re * cos + r_im * sin, r_im * cos - r_re * sin
+    dropped = k >= np.asarray(cutoffs)
+    a_re[dropped] = 0.0
+    a_im[dropped] = 0.0
+    return k, a_re, a_im
 
 
-def _cdf_coefficients(table: np.ndarray, theta: float) -> list:
-    """coef_k for every entry r_k of table, chosen so that the k-term plus its
-    conjugate equals 2 Re(coef_k w_k) with w_k = e^{2 pi i k z} - 1."""
-    coefs = []
-    for k, r_k in enumerate(table, 1):
-        phase = _TWO_PI * (k * theta - round(k * theta))
-        coefs.append(r_k * complex(math.cos(phase), -math.sin(phase))
-                     * complex(0.0, -1.0 / (_TWO_PI * k)))
-    return coefs
+def _horner(w_re, w_im, c_re, c_im):
+    """sum_j c[j] w^j by Horner's rule, for every column of c at every point w.
 
-
-def _cdf_sum(zs, table: np.ndarray, thetas) -> np.ndarray:
-    """F_B at zs for a row of phases theta_j, summing every entry of table.
-
-    Returns an array of shape (len(thetas),) + zs.shape.  Term k splits into
-    a coefficient, which depends on theta_j, and a factor of z alone,
-    w = e^{2 pi i k z} - 1, computed once per k and shared by the whole
-    row.  Each value is the same sequence of IEEE operations whatever the
-    row holds, so a one-phase call equals the matching row of a longer one
-    bit for bit.  No BLAS is involved: results do not depend on thread counts.
+    c_re and c_im have shape (terms, columns), w_re and w_im shape (points,);
+    the real and imaginary parts returned have shape (columns, points).  The
+    recurrence uses real float64 arrays and elementwise operations only, so a
+    value is the same IEEE operations whatever else the block holds, and
+    leading zero coefficients leave it exactly 0.
     """
-    z = np.asarray(zs, dtype=float)
-    flat = z.ravel()
-    rows = len(thetas)
-    coef = np.zeros((len(table), rows), dtype=complex)
-    for j, theta in enumerate(thetas):
-        coef[:, j] = _cdf_coefficients(table, theta)
-    coef_re, coef_im = coef.real, coef.imag
-    total = np.empty((rows, z.size))
-    total[...] = flat
-    comp = np.zeros_like(total)
-    term = np.empty_like(total)
-    spare = np.empty_like(total)
-    r, sp, cp = np.empty(z.size), np.empty(z.size), np.empty(z.size)
-    for k in range(1, len(table) + 1):
-        # w = e^{2 pi i r} - 1 = 2 sin(pi r) * (-sin(pi r) + i cos(pi r)) with r the
-        # reduced fraction of k z; exactly 0 at r = 0, so F(0) = 0 and F(1) = 1
-        # hold by construction
-        np.multiply(k, flat, out=r)
-        np.subtract(r, np.round(r, out=cp), out=r)
-        np.multiply(math.pi, r, out=r)
-        np.sin(r, out=sp)
-        np.cos(r, out=cp)
-        w_re = np.multiply(-2.0, sp, out=r)
-        np.multiply(w_re, sp, out=w_re)
-        w_im = np.multiply(2.0, sp, out=sp)
-        np.multiply(w_im, cp, out=w_im)
-        # term = 2 * (coef.real * w_re - coef.imag * w_im)
-        np.multiply(coef_re[k - 1, :, None], w_re, out=term)
-        np.multiply(coef_im[k - 1, :, None], w_im, out=spare)
-        np.subtract(term, spare, out=term)
-        np.multiply(2.0, term, out=term)
-        _kahan_add(total, comp, term, spare)
-        total, spare = spare, total
-    return total.reshape((rows,) + z.shape)
+    shape = (c_re.shape[1], w_re.size)
+    p_re, p_im = np.zeros(shape), np.zeros(shape)
+    t, u = np.empty(shape), np.empty(shape)
+    c_re, c_im = c_re[:, :, None], c_im[:, :, None]
+    for j in range(len(c_re) - 1, -1, -1):
+        # p = p * w + c[j]
+        np.multiply(p_re, w_re, out=t)
+        np.multiply(p_im, w_im, out=u)
+        np.subtract(t, u, out=t)
+        np.multiply(p_re, w_im, out=u)
+        np.multiply(p_im, w_re, out=p_im)
+        np.add(u, p_im, out=p_im)
+        np.add(p_im, c_im[j], out=p_im)
+        np.add(t, c_re[j], out=p_re)
+    return p_re, p_im
 
 
-def _cdf_values(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
+def _cdf_rows(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
     """F_B at zs for one alpha and a row of phases theta_j, each with its own cutoff.
 
-    Builds one table for the largest cutoff and sums its prefix for each
-    smaller one; returns an array of shape (len(thetas),) + zs.shape.
+    With c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
+    F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j].  One table serves the
+    row's largest cutoff; a cell's zeroed coefficients give zero tail sums
+    and leave Horner's value exactly 0 until its own terms start, so each
+    row equals a one-phase call bit for bit.  Returns an array of shape
+    (len(thetas),) + zs.shape.
     """
-    z = np.asarray(zs, dtype=float)
-    table = _gamma_ratio_table(alpha, base, max(cutoffs))
-    out = np.empty((len(thetas),) + z.shape)
-    for m in set(cutoffs):
-        rows = [j for j, c in enumerate(cutoffs) if c == m]
-        out[rows] = _cdf_sum(z, table[:m - 1], [thetas[j] for j in rows])
-    return out
+    shape = np.shape(zs)
+    k, a_re, a_im = _phase_coefficients(alpha, base, thetas, cutoffs)
+    two_pi_k = _TWO_PI * k
+    d_re = np.cumsum((a_im / two_pi_k)[::-1], axis=0)[::-1]
+    d_im = np.cumsum((-a_re / two_pi_k)[::-1], axis=0)[::-1]
+    w_re, w_im, v_re, v_im = _unit_points(zs)
+    p_re, p_im = _horner(w_re, w_im, d_re, d_im)
+    values = np.ravel(zs) + 2.0 * (v_re * p_re - v_im * p_im)
+    return values.reshape((len(thetas),) + shape)
 
 
-def _prime_values(zs: np.ndarray, table: np.ndarray, theta: float) -> np.ndarray:
-    total = np.ones_like(np.asarray(zs, dtype=float))
-    comp = np.zeros_like(total)
-    spare = np.empty_like(total)
-    for k, r_k in enumerate(table, 1):
-        psi = _TWO_PI * _reduced_frac(k * (theta - zs))
-        term = 2.0 * (r_k.real * np.cos(psi) + r_k.imag * np.sin(psi))
-        _kahan_add(total, comp, term, spare)
-        total, spare = spare, total
-    return total
+def _prime_row(zs, alpha: float, theta: float, cutoff_m: int, base: BaseConfig) -> np.ndarray:
+    """F_B'(z) = 1 + 2 Re[w sum_k a_k w^{k-1}] at zs, of the shape of zs."""
+    _, a_re, a_im = _phase_coefficients(alpha, base, [theta], [cutoff_m])
+    w_re, w_im, _, _ = _unit_points(zs)
+    p_re, p_im = _horner(w_re, w_im, a_re, a_im)
+    values = 1.0 + 2.0 * (w_re * p_re[0] - w_im * p_im[0])
+    return values.reshape(np.shape(zs))
 
 
 def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
@@ -400,8 +389,8 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
     on the dropped coefficients at trunc.cutoff_m.
     """
     fz = _as_unit_interval(z)
-    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    value = float(_prime_values(np.array([fz]), table, log_mod_1(params.beta, base))[0])
+    theta = log_mod_1(params.beta, base)
+    value = float(_prime_row([fz], params.alpha, theta, trunc.cutoff_m, base)[0])
     residual = 2.0 * _tail_bound(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -410,22 +399,22 @@ def fb_prime_series_values(zs, params: InvGammaParams, base: BaseConfig,
                            trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_prime_series values over an array of z in [0, 1]."""
     arr = _unit_interval_array(zs)
-    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    return _prime_values(arr, table, log_mod_1(params.beta, base))
+    theta = log_mod_1(params.beta, base)
+    return _prime_row(arr, params.alpha, theta, trunc.cutoff_m, base)
 
 
 def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
                   trunc: TruncationSpec) -> SeriesEvaluation:
     """Truncated series for F_B(z), the CDF of log_B X mod 1.
 
-    F(0) = 0 and F(1) = 1 hold exactly (every summand carries an exact zero
-    factor at the endpoints).  The residual bound is 2 S / (pi M), uniform
+    F(0) = 0 and F(1) = 1 hold exactly (the factor w - 1 is exactly 0 at
+    the endpoints).  The residual bound is 2 S / (pi M), uniform
     in z, with S the bound of _tail_bound at M = trunc.cutoff_m; a cutoff
     from truncation_cutoff makes it at most the requested epsilon.
     """
     fz = _as_unit_interval(z)
-    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    value = float(_cdf_sum(np.array([fz]), table, [log_mod_1(params.beta, base)])[0, 0])
+    theta = log_mod_1(params.beta, base)
+    value = float(_cdf_rows([fz], params.alpha, [theta], [trunc.cutoff_m], base)[0, 0])
     residual = _cdf_residual(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -434,9 +423,9 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
                          trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_cdf_series values over an array of z in [0, 1].
 
-    Elementwise identical to fb_cdf_series (same coefficient table and
-    summation order), and to the matching row of a deviation_grid sweep.
+    Elementwise identical to fb_cdf_series (same coefficients and
+    operations), and to the matching row of a deviation_grid sweep.
     """
     arr = _unit_interval_array(zs)
-    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    return _cdf_sum(arr, table, [log_mod_1(params.beta, base)])[0]
+    theta = log_mod_1(params.beta, base)
+    return _cdf_rows(arr, params.alpha, [theta], [trunc.cutoff_m], base)[0]

@@ -200,16 +200,16 @@ class TestDeviationGrid:
             assert big[:m - 1].tobytes() == _gamma_ratio_table(alpha, base, m).tobytes()
 
     def test_one_phase_call_equals_row_of_many(self):
-        from invgamma_benford.series import _cdf_values
+        from invgamma_benford.series import _cdf_rows
 
         zs = np.linspace(0.0, 1.0, 301)
         b16 = BaseConfig(16)
         thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
         cutoffs = [9, 3, 14, 1, 9]
-        block = _cdf_values(zs, 0.4, thetas, cutoffs, b16)
+        block = _cdf_rows(zs, 0.4, thetas, cutoffs, b16)
         assert block.shape == (5, 301)
         for theta, m, row in zip(thetas, cutoffs, block):
-            assert np.array_equal(_cdf_values(zs, 0.4, [theta], [m], b16)[0], row)
+            assert np.array_equal(_cdf_rows(zs, 0.4, [theta], [m], b16)[0], row)
         assert np.array_equal(block[3], zs)  # cutoff 1 sums no terms
 
 

@@ -287,6 +287,11 @@ class TestSampleCommand:
      "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2", "--epsilon", "7"),
     ("verify", "--alpha", "1", "--beta", "1", "--epsilon", "7"),
     ("verify", "--alpha", "1", "--beta", "1", "--epsilon", "1"),
+    # float(B) overflowed past 2**1024 (a traceback, exit 1); 2**53 is the largest
+    # base that float(B) holds exactly
+    ("verify", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400),
+    ("sample", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400),
+    ("deviation", "--alpha", "2", "--beta", "3", "--base", str(2 ** 53 + 1)),
 ])
 def test_bad_flag_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

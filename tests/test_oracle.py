@@ -11,7 +11,6 @@ from invgamma_benford.oracle import (
     OracleConfig,
     OracleTailWarning,
     SampleBatch,
-    empirical_log_cdf,
     fb_cdf_oracle,
     ks_distance,
     oracle_window,
@@ -164,25 +163,6 @@ class TestSampler:
             sample_invgamma(InvGammaParams(1.0, 1.0), 0, 1)
         with pytest.raises(TypeError):
             sample_invgamma(InvGammaParams(1.0, 1.0), 2.5, 1)
-
-
-class TestEmpiricalLogCdf:
-    def test_at_one(self):
-        batch = sample_invgamma(InvGammaParams(2.0, 1.0), 1000, 3)
-        assert empirical_log_cdf(batch, B10, 1.0) == 1.0
-
-    def test_at_zero(self):
-        batch = sample_invgamma(InvGammaParams(2.0, 1.0), 1000, 3)
-        assert empirical_log_cdf(batch, B10, 0.0) <= 1e-3
-
-    def test_matches_series_cdf(self):
-        p = InvGammaParams(1.0, 1.0)
-        trunc = truncation_cutoff(p, B10, 1e-8)
-        from invgamma_benford.series import fb_cdf_series
-
-        model = fb_cdf_series(0.5, p, B10, trunc).value
-        batch = sample_invgamma(p, 200000, 2024)
-        assert empirical_log_cdf(batch, B10, 0.5) == pytest.approx(model, abs=0.005)
 
 
 class TestKsDistance:

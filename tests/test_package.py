@@ -33,8 +33,7 @@ MODULE_ONLY = {
     "series": ["invgamma_pdf", "invgamma_cdf", "canonicalize_beta", "tail_bound_general",
                "tail_bound_alpha1", "cutoff_alpha1", "fb_prime_series",
                "fb_prime_series_values"],
-    "oracle": ["OracleConfig", "SampleBatch", "OracleTailWarning", "oracle_window",
-               "empirical_log_cdf"],
+    "oracle": ["OracleConfig", "SampleBatch", "OracleTailWarning", "oracle_window"],
     "analysis": ["DeviationGridError"],
 }
 

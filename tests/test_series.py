@@ -4,18 +4,20 @@ truncation cutoffs and tail expressions."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from invgamma_benford.benford import BaseConfig
+from invgamma_benford.benford import BaseConfig, log_mod_1
 from invgamma_benford.oracle import OracleConfig, fb_cdf_oracle, oracle_window
 from invgamma_benford.series import (
     InvGammaParams,
     SeriesEvaluation,
     TruncationSpec,
     _cdf_residual,
+    _gamma_ratio_table,
     _tail_bound,
     canonicalize_beta,
     cutoff_alpha1,
@@ -280,6 +282,14 @@ class TestPrimeSeries:
         gap = float(np.max(np.abs(fb_prime_series_values(zs, p, B10, trunc) - big)))
         assert gap <= fb_prime_series(0.0, p, B10, trunc).residual_bound
 
+    def test_scalar_matches_vectorized_bitwise(self):
+        p = InvGammaParams(2.7, 6.1)
+        trunc = truncation_cutoff(p, B10, 1e-8)
+        zs = np.linspace(0.0, 1.0, 101)
+        vec = fb_prime_series_values(zs, p, B10, trunc)
+        scal = np.array([fb_prime_series(float(z), p, B10, trunc).value for z in zs])
+        assert np.array_equal(vec, scal)
+
 
 class TestCdfSeries:
     def test_endpoints_exact(self):
@@ -349,6 +359,30 @@ class TestCdfSeries:
         vec = fb_cdf_series_values(zs, p, B10, trunc)
         scal = np.array([fb_cdf_series(float(z), p, B10, trunc).value for z in zs])
         assert np.array_equal(vec, scal)
+
+    @pytest.mark.parametrize("alpha", [0.05, 5.0, 300.0, 3000.0])
+    def test_kernel_rounding_against_mpmath(self, alpha):
+        """Against a 40-digit sum of the same truncated series, built from the same
+        table entries and phase, so that only the kernel's rounding is measured."""
+        zs = np.array([0.0, 0.03, 0.2, 0.37, 0.5, 0.61, 0.8, 0.97, 1.0])
+        for base_int in (2, 10, 36):
+            base = BaseConfig(base_int)
+            p = InvGammaParams(alpha, 2.9)
+            trunc = truncation_cutoff(p, base, 1e-12)
+            got = fb_cdf_series_values(zs, p, base, trunc)
+            table = _gamma_ratio_table(alpha, base, trunc.cutoff_m)
+            with mpmath.workdps(40):
+                theta = mpmath.mpf(log_mod_1(p.beta, base))
+                coefs = [mpmath.mpc(complex(r)) * mpmath.expjpi(-2 * k * theta)
+                         / (2j * mpmath.pi * k) for k, r in enumerate(table, 1)]
+                for z, value in zip(zs, got):
+                    w = mpmath.expjpi(2 * mpmath.mpf(z))
+                    total, w_k = mpmath.mpc(0), mpmath.mpc(1)
+                    for c in coefs:
+                        w_k *= w
+                        total += c * (w_k - 1)
+                    exact = mpmath.mpf(z) + 2 * total.real
+                    assert abs(value - float(exact)) <= 1e-14, (base_int, z)
 
     @pytest.mark.parametrize("base_int", [3, 16])
     def test_other_bases_match_oracle(self, base_int):

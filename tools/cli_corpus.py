@@ -1,13 +1,18 @@
-"""Golden corpus of command-line invocations: exit code and stdout digest of each.
+"""Golden corpus of command-line invocations: exit code, stdout digest and numbers of each.
 
     PYTHONPATH=<tree>/src python tools/cli_corpus.py > corpus.json
+    PYTHONPATH=src python tools/cli_corpus.py --compare old.json new.json
 
 Runs a fixed list of invocations in this process through
-invgamma_benford.cli.main and prints one JSON object that maps each argv,
-joined by spaces, to [exit code, sha256 of stdout].  Stderr is discarded.
+invgamma_benford.cli.main and prints one JSON object, one entry per
+line, that maps each argv, joined by spaces, to [exit code, sha256 of
+stdout, numbers of stdout].  The numbers are those of the JSON payload,
+or of the CSV rows below the header, in order.  Stderr is discarded.
 Run it on two trees and diff the outputs: identical files mean identical
-stdout bytes and exit codes on every invocation.  It takes about 2 s on
-a 2-core machine.
+stdout bytes and exit codes on every invocation.  Where the bytes change
+on purpose, --compare reports the invocations whose exit code or number
+count differs and the largest |difference| between the numbers of the
+others.  A run takes about 2 s on a 2-core machine.
 """
 
 import contextlib
@@ -58,18 +63,74 @@ def corpus():
     runs.append(["verify", "--alpha", "0.05", "--beta", "1e300"])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "2000", "--seed", "3"])
     runs.append(["deviation", "--alpha", "1", "--beta", "1", "--epsilon", "1"])
+    for base in (str(2 ** 53), str(2 ** 53 + 1)):
+        runs.append(["deviation", "--alpha", "2", "--beta", "3", "--base", base])
+    runs.append(["verify", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
+    runs.append(["sample", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     return runs
 
 
+def _flatten(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _flatten(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield float(node)
+
+
+def _csv_number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def numbers(stdout: str) -> list:
+    """The numbers of one stdout: its JSON payload's, or its CSV rows'."""
+    try:
+        return list(_flatten(json.loads(stdout)["payload"]))
+    except (ValueError, KeyError, TypeError):
+        cells = (_csv_number(c) for line in stdout.splitlines()[1:] for c in line.split(","))
+        return [x for x in cells if x is not None]
+
+
+def compare(old_path, new_path) -> None:
+    with open(old_path) as f:
+        old = json.load(f)
+    with open(new_path) as f:
+        new = json.load(f)
+    worst, where = 0.0, None
+    for argv in sorted(old.keys() & new.keys()):
+        (code_a, _, xs), (code_b, _, ys) = old[argv], new[argv]
+        if code_a != code_b or len(xs) != len(ys):
+            print(f"differs: {argv}: exit {code_a} -> {code_b}, {len(xs)} -> {len(ys)} numbers")
+            continue
+        gap = max((abs(x - y) for x, y in zip(xs, ys) if x != y), default=0.0)
+        if gap > worst:
+            worst, where = gap, argv
+    for argv in sorted(old.keys() ^ new.keys()):
+        print(f"in one corpus only: {argv}")
+    print(f"largest |difference|: {worst!r} ({where})")
+
+
 def main():
-    result = {}
+    if sys.argv[1:2] == ["--compare"]:
+        compare(*sys.argv[2:4])
+        return
+    entries = []
     for argv in corpus():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        result[" ".join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
-    json.dump(result, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+            try:
+                code = cli.main(argv)
+            except Exception:  # the command would end in a traceback, exit 1
+                code = 1
+        text = out.getvalue()
+        value = [code, hashlib.sha256(text.encode()).hexdigest(), numbers(text)]
+        entries.append(f" {json.dumps(' '.join(argv))}: {json.dumps(value)}")
+    sys.stdout.write("{\n" + ",\n".join(entries) + "\n}\n")
 
 
 if __name__ == "__main__":
