@@ -104,8 +104,6 @@ def _axis(spec, what: str) -> np.ndarray:
     steps = _as_int(steps, f"{what} steps", 1)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or hi < lo:
         raise ValueError(f"{what} range must satisfy 0 < min <= max, got ({lo}, {hi})")
-    if steps == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, steps)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "log_mod_1",
     "log_mod_1_array",
     "benford_digit_prob",
-    "benford_significand_cdf",
 ]
 
 
@@ -80,38 +79,32 @@ def _as_unit_interval(z) -> float:
     return fz
 
 
-def _scale_by_power(x: float, base: int, e: int) -> float:
-    """x * base**e using exact integer powers, chunked to dodge float overflow."""
-    step = max(1, int(300.0 / math.log10(base)))
-    while e > step:
-        x *= float(base ** step)
-        e -= step
-    while e < -step:
-        x /= float(base ** step)
-        e += step
-    if e >= 0:
-        return x * float(base ** e)
-    return x / float(base ** (-e))
-
-
 def decompose_significand(x, base: BaseConfig) -> SignificandDecomposition:
     """Split x > 0 into significand in [1, B) and integer exponent.
 
-    Values exactly at a power of B decompose with significand 1.0 (the
-    half-open convention).  Reconstruction s * B**k is faithful to ~1e-15
-    relative.
+    The significand is x / B**k correctly rounded to a double, computed
+    from the exact integer ratio of x.  Values exactly at a power of B, and
+    values whose significand rounds up to B, decompose with significand 1.0
+    (the half-open convention).
     """
     fx = _as_positive_finite(x, "x")
     b = base.base
     k = math.floor(math.log(fx) / base.log_base)
-    s = _scale_by_power(fx, b, -k)
+    num, den = fx.as_integer_ratio()
+    if k >= 0:
+        den *= b ** k
+    else:
+        num *= b ** -k
     # the log estimate can be off by one near powers of B
-    while s >= b:
-        s /= b
-        k += 1
-    while s < 1.0:
-        s *= b
+    if num < den:
+        num *= b
         k -= 1
+    elif num >= b * den:
+        den *= b
+        k += 1
+    s = num / den
+    if s == b:
+        return SignificandDecomposition(1.0, k + 1)
     return SignificandDecomposition(s, k)
 
 
@@ -147,11 +140,3 @@ def benford_digit_prob(d, base: BaseConfig) -> float:
     if not 1 <= d <= base.base - 1:
         raise ValueError(f"digit must be in [1, {base.base - 1}], got {d}")
     return math.log1p(1.0 / d) / base.log_base
-
-
-def benford_significand_cdf(s, base: BaseConfig) -> float:
-    """Reference CDF log_B(s) of the significand, for s in [1, B)."""
-    fs = float(s)
-    if not math.isfinite(fs) or not 1.0 <= fs < base.base:
-        raise ValueError(f"significand must lie in [1, {base.base}), got {s!r}")
-    return math.log(fs) / base.log_base

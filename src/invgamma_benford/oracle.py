@@ -59,8 +59,11 @@ class OracleConfig:
     """Window half-width K of the direct summation.
 
     The default K = 60 makes both window tails smaller than 1e-300 for
-    base 10 with beta in [1, 10); bases or scales far outside that range
-    need a wider window (a tail warning fires if the window is too small).
+    base 10 with beta in [1, 10) only at shapes alpha >= 5.1: the k = +K
+    boundary term is at most (beta * B^-K)^alpha / Gamma(alpha + 1), and at
+    alpha = 0.1 it reaches 2.2e-7 for beta = 1 and 2.7e-7 for beta = 9.9.
+    oracle_window gives the K a shape and base need (a tail warning fires
+    if the window is too small).
     """
 
     k_range: int = 60
@@ -74,16 +77,13 @@ def oracle_window(params: InvGammaParams, base: BaseConfig) -> int:
 
     The k -> +inf boundary terms scale like (beta * B^-K)^alpha / Gamma(alpha+1),
     which for small shapes decays slowly enough that the default K = 60 is not
-    converged; the k -> -inf side needs beta * B^K large enough that the upper
-    gamma tail underflows.  beta is the canonical scale in [1, B), as in
-    fb_cdf_oracle.
+    converged.  beta is the canonical scale in [1, B), as in fb_cdf_oracle.
     """
     a = params.alpha
     b = decompose_significand(params.beta, base).significand
     lb = base.log_base
     k_pos = (math.log(b) - (math.log(_WINDOW_TAIL) + math.lgamma(a + 1.0)) / a) / lb
-    k_neg = (math.log(800.0) - math.log(b)) / lb
-    return max(60, math.ceil(k_pos) + 2, math.ceil(k_neg) + 2)
+    return max(60, math.ceil(k_pos) + 2)
 
 
 def fb_cdf_oracle(z, params: InvGammaParams, base: BaseConfig,

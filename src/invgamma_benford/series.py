@@ -1,5 +1,5 @@
-"""Inverse gamma density/CDF and the rapidly convergent series for the
-distribution of log_B X mod 1, with certified truncation control.
+"""The rapidly convergent series for the distribution of log_B X mod 1,
+with certified truncation control.
 
 Writing F_B for the CDF of log_B(X) mod 1 when X is inverse-gamma with
 shape alpha and scale beta, the evaluation path used here is
@@ -61,8 +61,6 @@ __all__ = [
     "InvGammaParams",
     "TruncationSpec",
     "SeriesEvaluation",
-    "invgamma_pdf",
-    "invgamma_cdf",
     "canonicalize_beta",
     "truncation_cutoff",
     "tail_bound_general",
@@ -115,7 +113,10 @@ class SeriesEvaluation:
 
     The truncation error, the series value minus value, is at most
     residual_bound in absolute value; floating-point rounding of the
-    summed terms (a few ulps) comes on top.
+    summed terms comes on top.  Measured against 40-digit sums of the
+    same series, that rounding stays within 4e-16 for F up to alpha = 3000
+    and reaches about 1e-13 for F' at alpha = 3000 (cutoff 3002); no bound
+    is reported for it yet (ROADMAP item 3).
     """
 
     value: float
@@ -128,32 +129,6 @@ def _unit_interval_array(zs) -> np.ndarray:
     if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError("all z must lie in [0, 1]")
     return arr
-
-
-def invgamma_pdf(x, params: InvGammaParams) -> float:
-    """Density beta^alpha / Gamma(alpha) * x^(-alpha-1) * exp(-beta/x), x > 0.
-
-    Evaluated in log space, so extreme parameter combinations underflow to
-    0.0 instead of overflowing intermediates.
-    """
-    fx = _as_positive_finite(x, "x")
-    a, b = params.alpha, params.beta
-    log_pdf = a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(fx) - b / fx
-    if log_pdf < _EXP_UNDERFLOW:
-        return 0.0
-    if log_pdf > 709.0:  # density exceeds double range (tiny beta near the mode)
-        return math.inf
-    return math.exp(log_pdf)
-
-
-def invgamma_cdf(x, params: InvGammaParams) -> float:
-    """CDF of the inverse gamma law: Q(alpha, beta/x) for x > 0."""
-    fx = float(x)
-    if math.isnan(fx) or fx <= 0.0:
-        raise ValueError(f"x must be positive, got {x!r}")
-    if math.isinf(fx):
-        return 1.0
-    return regularized_upper_gamma(params.alpha, params.beta / fx)
 
 
 def canonicalize_beta(params: InvGammaParams, base: BaseConfig) -> tuple[InvGammaParams, int]:

@@ -96,6 +96,12 @@ class TestDeviationGrid:
         assert grid.dev.shape == (1, 1)
         assert grid.dev[0, 0] == point.max_dev
 
+    def test_one_step_axis_takes_its_minimum(self):
+        grid = deviation_grid((2.0, 5.0, 1), (3.0, 4.0, 2), B10, 0.001)
+        assert grid.alpha_values.tolist() == [2.0]
+        point = max_deviation(InvGammaParams(2.0, 3.0), B10, 0.001)
+        assert grid.dev[0, 0] == point.max_dev
+
     def test_row_major_shape_and_certificates(self):
         grid = deviation_grid((0.1, 1.0, 4), (1.0, 9.0, 5), B10, 0.001)
         assert grid.dev.shape == (4, 5)

@@ -1,6 +1,8 @@
 """Significand arithmetic and reference-law tests."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from invgamma_benford.benford import (
     BaseConfig,
     benford_digit_prob,
-    benford_significand_cdf,
     decompose_significand,
     log_mod_1,
     log_mod_1_array,
@@ -69,6 +70,28 @@ class TestDecompose:
             for m in (-6, -1, 2, 9):
                 s1 = decompose_significand(x * 10.0 ** m, b10).significand
                 assert s1 == pytest.approx(s0, rel=1e-13)
+
+    @pytest.mark.parametrize("base", [3, 10, 36, 1000])
+    def test_significand_is_correctly_rounded(self, base):
+        """Against exact rational arithmetic: s is x / B**k rounded to nearest,
+        or 1.0 with k + 1 where that rounds up to B."""
+        cfg = BaseConfig(base)
+        rng = np.random.default_rng(base)
+        bits = rng.integers(1, 0x7FF0000000000000, size=2000, dtype=np.int64)
+        xs = [float(x) for x in bits.view(np.float64)]  # every positive finite double
+        n = 1
+        while base ** n <= sys.float_info.max:
+            xs += [math.nextafter(float(base ** n), 0.0), math.nextafter(base ** -n, 0.0)]
+            n += 1
+        xs += [5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0), sys.float_info.max]
+        for x in xs:
+            d = decompose_significand(x, cfg)
+            exact = Fraction(x) / Fraction(base) ** d.exponent
+            if exact < 1:
+                assert d.significand == 1.0 and float(exact * base) == base, x
+            else:
+                assert exact < base and d.significand == float(exact), x
+            assert 1.0 <= d.significand < base, x
 
     @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, math.nan])
     def test_domain_errors(self, bad):
@@ -134,30 +157,9 @@ class TestDigitLaw:
         with pytest.raises(ValueError):
             benford_digit_prob(10, BaseConfig(10))
 
-    def test_cdf_endpoints(self):
-        b10 = BaseConfig(10)
-        assert benford_significand_cdf(1.0, b10) == 0.0
-        top = benford_significand_cdf(math.nextafter(10.0, 0.0), b10)
-        assert top == pytest.approx(1.0, abs=1e-14)
-
-    def test_cdf_first_digit_value(self):
-        assert benford_significand_cdf(2.0, BaseConfig(10)) == pytest.approx(0.30103, abs=1e-5)
-
-    def test_cdf_monotone(self):
-        b10 = BaseConfig(10)
-        ss = np.linspace(1.0, math.nextafter(10.0, 0.0), 300)
-        vals = [benford_significand_cdf(float(s), b10) for s in ss]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_cdf_out_of_domain(self):
-        with pytest.raises(ValueError):
-            benford_significand_cdf(0.5, BaseConfig(10))
-        with pytest.raises(ValueError):
-            benford_significand_cdf(10.0, BaseConfig(10))
-
     def test_digit_prob_matches_cdf_difference(self):
+        # log_B(d + 1) - log_B(d), the reference CDF's mass on [d, d + 1)
         b10 = BaseConfig(10)
         for d in range(1, 10):
-            upper = benford_significand_cdf(math.nextafter(float(d + 1), 0.0), b10)
-            lower = benford_significand_cdf(float(d), b10)
-            assert benford_digit_prob(d, b10) == pytest.approx(upper - lower, abs=1e-12)
+            expected = math.log1p(1.0 / d) / math.log(10.0)
+            assert benford_digit_prob(d, b10) == pytest.approx(expected, abs=1e-12)

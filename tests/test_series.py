@@ -1,5 +1,5 @@
-"""Tests for the inverse gamma law, the log-significand series, and the
-truncation cutoffs and tail expressions."""
+"""Tests for the log-significand series, the truncation cutoffs and the
+tail expressions."""
 
 import cmath
 import math
@@ -7,8 +7,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from invgamma_benford.benford import BaseConfig, log_mod_1
 from invgamma_benford.oracle import OracleConfig, fb_cdf_oracle, oracle_window
@@ -25,8 +23,6 @@ from invgamma_benford.series import (
     fb_cdf_series_values,
     fb_prime_series,
     fb_prime_series_values,
-    invgamma_cdf,
-    invgamma_pdf,
     tail_bound_alpha1,
     tail_bound_general,
     truncation_cutoff,
@@ -43,43 +39,6 @@ def test_params_validation():
         InvGammaParams(1.0, -1.0)
     with pytest.raises(ValueError):
         InvGammaParams(math.inf, 1.0)
-
-
-class TestDensityAndCdf:
-    def test_pdf_unit_point(self):
-        assert invgamma_pdf(1.0, InvGammaParams(1.0, 1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (2.0, 3.0), (10.0, 1.0)])
-    def test_pdf_normalizes(self, alpha, beta):
-        p = InvGammaParams(alpha, beta)
-        total, _ = quad(lambda x: invgamma_pdf(x, p), 0.0, np.inf, limit=300)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_pdf_mode(self):
-        p = InvGammaParams(2.0, 3.0)
-        res = minimize_scalar(lambda x: -invgamma_pdf(x, p), bracket=(0.5, 1.5))
-        assert res.x == pytest.approx(3.0 / 3.0, abs=1e-6)
-
-    def test_pdf_domain(self):
-        with pytest.raises(ValueError):
-            invgamma_pdf(0.0, InvGammaParams(1.0, 1.0))
-
-    def test_cdf_total_mass(self):
-        assert invgamma_cdf(math.inf, InvGammaParams(2.0, 5.0)) == 1.0
-
-    def test_cdf_shape_one_closed_form(self):
-        assert invgamma_cdf(1.0, InvGammaParams(1.0, 1.0)) == pytest.approx(math.exp(-1.0), rel=1e-13)
-
-    def test_cdf_matches_quadrature(self):
-        p = InvGammaParams(3.0, 4.0)
-        val, _ = quad(lambda x: invgamma_pdf(x, p), 0.0, 2.0, limit=300)
-        assert invgamma_cdf(2.0, p) == pytest.approx(val, abs=1e-9)
-
-    def test_cdf_monotone(self):
-        p = InvGammaParams(2.5, 1.7)
-        xs = np.linspace(0.05, 40.0, 300)
-        vals = [invgamma_cdf(float(x), p) for x in xs]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestCanonicalize:

@@ -6,13 +6,14 @@
 Runs a fixed list of invocations in this process through
 invgamma_benford.cli.main and prints one JSON object, one entry per
 line, that maps each argv, joined by spaces, to [exit code, sha256 of
-stdout, numbers of stdout].  The numbers are those of the JSON payload,
-or of the CSV rows below the header, in order.  Stderr is discarded.
-Run it on two trees and diff the outputs: identical files mean identical
-stdout bytes and exit codes on every invocation.  Where the bytes change
-on purpose, --compare reports the invocations whose exit code or number
-count differs and the largest |difference| between the numbers of the
-others.  A run takes about 2 s on a 2-core machine.
+stdout, numbers of stdout].  The numbers are those of the JSON metadata
+and payload, or of the CSV rows below the header, in order.  Stderr is
+discarded.  Run it on two trees and diff the outputs: identical files
+mean identical stdout bytes and exit codes on every invocation.  Where
+the bytes change on purpose, --compare names every invocation whose
+stdout digest differs, reports those whose exit code or number count
+differs, and prints the largest |difference| between the numbers of the
+others.  A run takes about 1 s on a 2-core machine.
 """
 
 import contextlib
@@ -62,6 +63,17 @@ def corpus():
     runs.append(["verify", "--alpha", "1e-4", "--beta", "1"])
     runs.append(["verify", "--alpha", "0.05", "--beta", "1e300"])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "2000", "--seed", "3"])
+    runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "200", "--seed", "3",
+                 "--format", "json"])
+    runs.append(_grid("10", ("2", "1", "3"), ("1", "2", "3")))
+    # scales at the ends of the double range, where beta is scaled into [1, B)
+    for beta, base in (("5e-324", "10"), ("1.7976931348623157e308", "10"),
+                       ("9.999999999999999e-293", "10"), ("1e-291", "1000")):
+        runs.append(["deviation", "--alpha", "2.7", "--beta", beta, "--base", base])
+    runs.append(["cdf", "--alpha", "2.7", "--beta", "1e-300", "--base", "3", "--points", "33"])
+    runs.append(["verify", "--alpha", "2.7", "--beta", "3e-310", "--base", "3"])
+    runs.append(_grid("7", ("0.5", "20", "3"), ("1e-300", "1e300", "7"), "--epsilon", "1e-12"))
+    runs.append(_grid("36", ("0.5", "20", "3"), ("3e-321", "7e-310", "7"), "--epsilon", "1e-12"))
     runs.append(["deviation", "--alpha", "1", "--beta", "1", "--epsilon", "1"])
     for base in (str(2 ** 53), str(2 ** 53 + 1)):
         runs.append(["deviation", "--alpha", "2", "--beta", "3", "--base", base])
@@ -88,9 +100,10 @@ def _csv_number(cell):
 
 
 def numbers(stdout: str) -> list:
-    """The numbers of one stdout: its JSON payload's, or its CSV rows'."""
+    """The numbers of one stdout: its JSON metadata's and payload's, or its CSV rows'."""
     try:
-        return list(_flatten(json.loads(stdout)["payload"]))
+        envelope = json.loads(stdout)
+        return list(_flatten([envelope["metadata"], envelope["payload"]]))
     except (ValueError, KeyError, TypeError):
         cells = (_csv_number(c) for line in stdout.splitlines()[1:] for c in line.split(","))
         return [x for x in cells if x is not None]
@@ -103,7 +116,9 @@ def compare(old_path, new_path) -> None:
         new = json.load(f)
     worst, where = 0.0, None
     for argv in sorted(old.keys() & new.keys()):
-        (code_a, _, xs), (code_b, _, ys) = old[argv], new[argv]
+        (code_a, digest_a, xs), (code_b, digest_b, ys) = old[argv], new[argv]
+        if digest_a != digest_b:
+            print(f"stdout differs: {argv}")
         if code_a != code_b or len(xs) != len(ys):
             print(f"differs: {argv}: exit {code_a} -> {code_b}, {len(xs)} -> {len(ys)} numbers")
             continue
