@@ -24,13 +24,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaseConfig:
-    """An integer base B >= 2 together with its cached natural log."""
+    """An integer base 2 <= B <= 2**53 together with its cached natural log.
+
+    2**53 is the largest base that a double holds exactly, and the oracle
+    computes with float(B); a larger base is a ValueError.
+    """
 
     base: int
     log_base: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = _as_int(self.base, "base", 2)
+        if base > 2 ** 53:
+            raise ValueError(f"base must be <= 2**53, got {base}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "log_base", math.log(base))
 

@@ -1,21 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: it parses flags, calls the library and prints.
 
-Subcommands: deviation, cdf, grid, verify, sample.  Data goes to stdout
-(CSV or JSON per --format); diagnostics, including the parameter metadata
-for CSV output, go to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Every base 2 <= B <= 2**53 is certified: the
-metadata key "certified" is always true.  Every flag value is checked by
-argparse with the library's own validators, so any bad value (a
-non-finite epsilon, an epsilon of 1 or more, a base above 2**53 and a
-negative seed included) is a usage error: exit 2 with empty stdout.
-Output is buffered and deterministic: identical flags produce
-byte-identical stdout.  Samples come from numpy's PCG64 and
+Subcommands: deviation, cdf, grid, verify, sample.  Each one prints
+through _emit: with --format json one envelope {format, metadata,
+payload} on stdout and nothing on stderr; with --format csv a "# key=value
+..." metadata line and any notes (the grid --summary spreads, the sample
+digit histogram) on stderr, then a header and rows on stdout.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 141 stdout closed early
+(128 + SIGPIPE, as for `| head`).  Every base BaseConfig accepts
+(2 <= B <= 2**53) is certified: the metadata key "certified" is always
+true.  Every flag value is checked by argparse with the library's own
+validators, so any bad value (a non-finite epsilon, an epsilon of 1 or
+more, a base above 2**53 and a negative seed included) is a usage error:
+exit 2 with empty stdout.  Output is buffered and deterministic: identical
+flags produce byte-identical stdout.  Samples come from numpy's PCG64 and
 Generator.standard_gamma.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,9 +45,7 @@ __all__ = ["main", "entry", "build_parser"]
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
-# the largest base that float(B) holds exactly; the oracle and the digit
-# histogram compute with float(B)
-_MAX_BASE = 2 ** 53
+_EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def _fixed(x: float, sig: int = 6) -> str:
@@ -74,13 +76,6 @@ def _int_at_least(name: str, minimum: int):
     return _usage_type(lambda text: _as_int(int(text), name, minimum))
 
 
-def _base(text: str) -> int:
-    base = _as_int(int(text), "base", 2)
-    if base > _MAX_BASE:
-        raise ValueError(f"base must be <= 2**53, got {base}")
-    return base
-
-
 def _metadata(params: InvGammaParams, base: BaseConfig, epsilon: float,
               cutoff_m: int) -> dict:
     canonical, _ = canonicalize_beta(params, base)
@@ -96,14 +91,19 @@ def _metadata(params: InvGammaParams, base: BaseConfig, epsilon: float,
     }
 
 
-def _emit_json(metadata: dict, payload) -> None:
-    envelope = {"format": "json", "metadata": metadata, "payload": payload}
-    print(json.dumps(envelope, indent=2))
-
-
-def _emit_metadata_stderr(metadata: dict) -> None:
+def _emit(fmt: str, metadata: dict, payload: dict, header: str, rows, notes=()) -> None:
+    """Print one result: the JSON envelope on stdout, or the CSV `header` and
+    `rows` on stdout after the metadata line and `notes` on stderr.  `rows`
+    is an iterable of lines, read only for CSV."""
+    if fmt == "json":
+        envelope = {"format": "json", "metadata": metadata, "payload": payload}
+        print(json.dumps(envelope, indent=2))
+        return
     fields = " ".join(f"{k}={v}" for k, v in metadata.items())
     print(f"# {fields}", file=sys.stderr)
+    for note in notes:
+        print(note, file=sys.stderr)
+    print("\n".join([header, *rows]))
 
 
 def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True) -> None:
@@ -114,7 +114,8 @@ def _add_common(sub, epsilon_default: float | None = 0.001, params: bool = True)
                          help="shape parameter (> 0)")
         sub.add_argument("--beta", type=_positive("beta"), required=True,
                          help="scale parameter (> 0)")
-    sub.add_argument("--base", type=_usage_type(_base), default=10,
+    sub.add_argument("--base", type=_usage_type(lambda text: BaseConfig(int(text))),
+                     default=BaseConfig(10),
                      help="integer base 2 <= B <= 2**53 (default 10)")
     if epsilon_default is not None:
         sub.add_argument("--epsilon", type=_usage_type(_as_epsilon), default=epsilon_default,
@@ -171,91 +172,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_deviation(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
-    base = BaseConfig(args.base)
-    report = max_deviation(params, base, args.epsilon, args.grid_points)
-    metadata = _metadata(params, base, args.epsilon, report.cutoff_m)
+    report = max_deviation(params, args.base, args.epsilon, args.grid_points)
     payload = {
         "max_dev": report.max_dev,
         "argmax_z": report.argmax_z,
         "epsilon": report.epsilon,
         "grid_points": report.grid_points,
     }
-    if args.format == "json":
-        _emit_json(metadata, payload)
-    else:
-        _emit_metadata_stderr(metadata)
-        print("max_dev,argmax_z,epsilon,grid_points")
-        print(f"{_fixed(report.max_dev)},{_fixed(report.argmax_z)},"
-              f"{_fixed(report.epsilon)},{report.grid_points}")
+    rows = (f"{_fixed(r.max_dev)},{_fixed(r.argmax_z)},{_fixed(r.epsilon)},{r.grid_points}"
+            for r in [report])
+    _emit(args.format, _metadata(params, args.base, args.epsilon, report.cutoff_m), payload,
+          "max_dev,argmax_z,epsilon,grid_points", rows)
     return _EXIT_OK
 
 
 def _cmd_cdf(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
-    base = BaseConfig(args.base)
-    trunc = truncation_cutoff(params, base, args.epsilon)
+    trunc = truncation_cutoff(params, args.base, args.epsilon)
     zs = np.linspace(0.0, 1.0, args.points)
-    values = fb_cdf_series_values(zs, params, base, trunc)
-    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m)
-    if args.format == "json":
-        payload = {
-            "z": [float(z) for z in zs],
-            "F_B": [float(v) for v in values],
-            "deviation": [float(v - z) for z, v in zip(zs, values)],
-        }
-        _emit_json(metadata, payload)
-    else:
-        _emit_metadata_stderr(metadata)
-        lines = ["z,F_B,deviation"]
-        for z, v in zip(zs, values):
-            lines.append(f"{z:.6f},{v:.6f},{v - z:.6f}")
-        print("\n".join(lines))
+    values = fb_cdf_series_values(zs, params, args.base, trunc)
+    payload = {"z": zs.tolist(), "F_B": values.tolist(), "deviation": (values - zs).tolist()}
+    rows = (f"{z:.6f},{v:.6f},{v - z:.6f}" for z, v in zip(payload["z"], payload["F_B"]))
+    _emit(args.format, _metadata(params, args.base, args.epsilon, trunc.cutoff_m), payload,
+          "z,F_B,deviation", rows)
     return _EXIT_OK
 
 
 def _cmd_grid(args) -> int:
-    base = BaseConfig(args.base)
-    grid = deviation_grid(
-        (args.alpha_min, args.alpha_max, args.alpha_steps),
-        (args.beta_min, args.beta_max, args.beta_steps),
-        base,
-        args.epsilon,
-    )
+    alpha_range = [args.alpha_min, args.alpha_max, args.alpha_steps]
+    beta_range = [args.beta_min, args.beta_max, args.beta_steps]
+    grid = deviation_grid(alpha_range, beta_range, args.base, args.epsilon)
     metadata = {
-        "alpha_range": [args.alpha_min, args.alpha_max, args.alpha_steps],
-        "beta_range": [args.beta_min, args.beta_max, args.beta_steps],
-        "base": base.base,
+        "alpha_range": alpha_range,
+        "beta_range": beta_range,
+        "base": args.base.base,
         "epsilon": args.epsilon,
         "certified": True,
         "tool_version": __version__,
     }
-    spreads = [(float(a), float(row.max() - row.min()))
-               for a, row in zip(grid.alpha_values, grid.dev)]
-    if args.format == "json":
-        payload = {
-            "alpha_values": [float(a) for a in grid.alpha_values],
-            "beta_values": [float(b) for b in grid.beta_values],
-            "max_dev": [[float(v) for v in row] for row in grid.dev],
-        }
-        if args.summary:
-            payload["row_spread"] = {str(a): s for a, s in spreads}
-        _emit_json(metadata, payload)
-    else:
-        _emit_metadata_stderr(metadata)
-        lines = ["alpha,beta,max_dev"]
-        for i, a in enumerate(grid.alpha_values):
-            for j, b in enumerate(grid.beta_values):
-                lines.append(f"{_fixed(a)},{_fixed(b)},{_fixed(grid.dev[i, j])}")
-        print("\n".join(lines))
-        if args.summary:
-            for a, s in spreads:
-                print(f"# alpha={_fixed(a)} spread={_fixed(s)}", file=sys.stderr)
+    payload = {"alpha_values": grid.alpha_values.tolist(),
+               "beta_values": grid.beta_values.tolist(), "max_dev": grid.dev.tolist()}
+    rows = (f"{_fixed(a)},{_fixed(b)},{_fixed(v)}"
+            for a, devs in zip(grid.alpha_values, grid.dev)
+            for b, v in zip(grid.beta_values, devs))
+    notes = ()
+    if args.summary:
+        spreads = list(zip(payload["alpha_values"], np.ptp(grid.dev, axis=1).tolist()))
+        payload["row_spread"] = {str(a): s for a, s in spreads}
+        notes = [f"# alpha={_fixed(a)} spread={_fixed(s)}" for a, s in spreads]
+    _emit(args.format, metadata, payload, "alpha,beta,max_dev", rows, notes)
     return _EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
-    base = BaseConfig(args.base)
+    base = args.base
     trunc = truncation_cutoff(params, base, args.epsilon)
 
     checks = {}
@@ -282,14 +253,10 @@ def _cmd_verify(args) -> int:
         checks["ks_distance"] = {"value": ks, "tolerance": ks_tol, "passed": ks <= ks_tol}
 
     all_passed = all(c["passed"] for c in checks.values())
-    metadata = _metadata(params, base, args.epsilon, trunc.cutoff_m)
-    if args.format == "json":
-        _emit_json(metadata, {"checks": checks, "passed": all_passed})
-    else:
-        _emit_metadata_stderr(metadata)
-        print("check,value,tolerance,passed")
-        for name, c in checks.items():
-            print(f"{name},{c['value']!r},{c['tolerance']!r},{c['passed']}")
+    rows = (f"{name},{c['value']!r},{c['tolerance']!r},{c['passed']}"
+            for name, c in checks.items())
+    _emit(args.format, _metadata(params, base, args.epsilon, trunc.cutoff_m),
+          {"checks": checks, "passed": all_passed}, "check,value,tolerance,passed", rows)
     if not all_passed:
         failing = ", ".join(name for name, c in checks.items() if not c["passed"])
         print(f"verification failed: {failing}", file=sys.stderr)
@@ -299,7 +266,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
-    base = BaseConfig(args.base)
+    base = args.base
     batch = sample_invgamma(params, args.n, args.seed)
     frac = log_mod_1_array(batch.values, base)
     digits = np.clip(np.floor(float(base.base) ** frac).astype(int), 1, base.base - 1)
@@ -313,20 +280,11 @@ def _cmd_sample(args) -> int:
         "generator": "PCG64",
         "tool_version": __version__,
     }
-    if args.format == "json":
-        payload = {
-            "values": [float(v) for v in batch.values],
-            "digit_counts": [int(c) for c in counts],
-            "digit_freqs": [float(c) / args.n for c in counts],
-        }
-        _emit_json(metadata, payload)
-    else:
-        _emit_metadata_stderr(metadata)
-        hist = " ".join(f"{d}:{c}" for d, c in enumerate(counts, start=1))
-        print(f"# digit_histogram {hist}", file=sys.stderr)
-        lines = ["value"]
-        lines.extend(repr(float(v)) for v in batch.values)
-        print("\n".join(lines))
+    payload = {"values": batch.values.tolist(), "digit_counts": counts.tolist(),
+               "digit_freqs": (counts / args.n).tolist()}
+    hist = " ".join(f"{d}:{c}" for d, c in enumerate(counts, start=1))
+    _emit(args.format, metadata, payload, "value", map(repr, payload["values"]),
+          [f"# digit_histogram {hist}"])
     return _EXIT_OK
 
 
@@ -353,7 +311,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

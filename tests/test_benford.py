@@ -24,6 +24,14 @@ def test_base_config_validation():
         BaseConfig(2.5)
 
 
+def test_base_config_range():
+    """2**53 is the largest base that a double holds exactly, and the largest accepted."""
+    assert float(BaseConfig(2 ** 53).base) == 2 ** 53
+    for base in (2 ** 53 + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=r"base must be <= 2\*\*53"):
+            BaseConfig(base)
+
+
 class TestDecompose:
     def test_decimal_examples(self):
         b10 = BaseConfig(10)

@@ -300,6 +300,32 @@ def test_bad_flag_value_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+EMIT_CASES = [
+    (("deviation", "--alpha", "2", "--beta", "3"), "max_dev,argmax_z,epsilon,grid_points"),
+    (("cdf", "--alpha", "2", "--beta", "3", "--points", "5"), "z,F_B,deviation"),
+    (("grid", "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2",
+      "--beta-min", "1", "--beta-max", "4", "--beta-steps", "2", "--summary"),
+     "alpha,beta,max_dev"),
+    (("verify", "--alpha", "1", "--beta", "1", "--samples", "1000", "--seed", "1"),
+     "check,value,tolerance,passed"),
+    (("sample", "--alpha", "2", "--beta", "3", "--n", "20"), "value"),
+]
+
+
+@pytest.mark.parametrize("argv,header", EMIT_CASES, ids=[argv[0] for argv, _ in EMIT_CASES])
+def test_output_contract(capsys, argv, header):
+    """JSON: one envelope on stdout and nothing on stderr.  CSV: the metadata
+    line first on stderr, the header first on stdout."""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert set(json.loads(out)) == {"format", "metadata", "payload"}
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    first = err.splitlines()[0]
+    assert first.startswith("# ") and "tool_version=" in first
+    assert out.splitlines()[0] == header
+
+
 class TestParserBasics:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -315,3 +341,17 @@ class TestParserBasics:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["metadata"]["cutoff_m"] == 5
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        """A reader that stops early, as `| head -1` does, ends the command
+        with 128 + SIGPIPE and no traceback."""
+        with subprocess.Popen(
+            [sys.executable, "-m", "invgamma_benford", "cdf", "--alpha", "2", "--beta", "3",
+             "--points", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline() == "z,F_B,deviation\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err

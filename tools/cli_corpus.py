@@ -1,4 +1,4 @@
-"""Golden corpus of command-line invocations: exit code, stdout digest and numbers of each.
+"""Golden corpus of command-line invocations: exit code, output digests and numbers of each.
 
     PYTHONPATH=<tree>/src python tools/cli_corpus.py > corpus.json
     PYTHONPATH=src python tools/cli_corpus.py --compare old.json new.json
@@ -6,20 +6,27 @@
 Runs a fixed list of invocations in this process through
 invgamma_benford.cli.main and prints one JSON object, one entry per
 line, that maps each argv, joined by spaces, to [exit code, sha256 of
-stdout, numbers of stdout].  The numbers are those of the JSON metadata
-and payload, or of the CSV rows below the header, in order.  Stderr is
-discarded.  Run it on two trees and diff the outputs: identical files
-mean identical stdout bytes and exit codes on every invocation.  Where
-the bytes change on purpose, --compare names every invocation whose
-stdout digest differs, reports those whose exit code or number count
-differs, and prints the largest |difference| between the numbers of the
-others.  A run takes about 1 s on a 2-core machine.
+stdout, sha256 of stderr, numbers of stdout].  COLUMNS is pinned, so
+argparse's usage text does not depend on the terminal.  The numbers map
+a key path to each number of the JSON metadata and payload
+("payload.max_dev[2][5]"), or of the CSV rows below the header
+("row 3.F_B").  Run it on two trees and diff the outputs: identical
+files mean identical stdout and stderr bytes and exit codes on every
+invocation.  Where the bytes change on purpose, --compare names every
+invocation whose stdout or stderr digest differs, reports those whose
+exit code or number keys differ, and prints the largest |difference|
+between the numbers of the others, with its key.  beta_canonical is
+compared by the circular distance of log_B beta mod 1, so a canonical
+beta that wraps from just below B to 1.0 counts as the small change of
+scale that it is.  A run takes about 1 s on a 2-core machine.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import sys
 
 from invgamma_benford import cli
@@ -75,38 +82,44 @@ def corpus():
     runs.append(_grid("7", ("0.5", "20", "3"), ("1e-300", "1e300", "7"), "--epsilon", "1e-12"))
     runs.append(_grid("36", ("0.5", "20", "3"), ("3e-321", "7e-310", "7"), "--epsilon", "1e-12"))
     runs.append(["deviation", "--alpha", "1", "--beta", "1", "--epsilon", "1"])
-    for base in (str(2 ** 53), str(2 ** 53 + 1)):
+    for base in ("1", "ten", str(2 ** 53), str(2 ** 53 + 1)):
         runs.append(["deviation", "--alpha", "2", "--beta", "3", "--base", base])
     runs.append(["verify", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     return runs
 
 
-def _flatten(node):
+def _flatten(node, path):
     if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, list):
-        for item in node:
-            yield from _flatten(item)
+        for key, item in node.items():
+            yield from _flatten(item, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _flatten(item, f"{path}[{i}]")
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield float(node)
+        yield path, float(node)
 
 
-def _csv_number(cell):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _csv_numbers(stdout: str):
+    lines = stdout.splitlines()
+    header = lines[0].split(",") if lines else []
+    for i, line in enumerate(lines[1:], start=1):
+        for name, cell in zip(header, line.split(",")):
+            try:
+                yield f"row {i}.{name}", float(cell)
+            except ValueError:
+                pass
 
 
-def numbers(stdout: str) -> list:
-    """The numbers of one stdout: its JSON metadata's and payload's, or its CSV rows'."""
+def numbers(stdout: str) -> dict:
+    """The numbers of one stdout by key path: its JSON metadata's and payload's,
+    or its CSV rows'."""
     try:
         envelope = json.loads(stdout)
-        return list(_flatten([envelope["metadata"], envelope["payload"]]))
+        return dict(_flatten({"metadata": envelope["metadata"],
+                              "payload": envelope["payload"]}, ""))
     except (ValueError, KeyError, TypeError):
-        cells = (_csv_number(c) for line in stdout.splitlines()[1:] for c in line.split(","))
-        return [x for x in cells if x is not None]
+        return dict(_csv_numbers(stdout))
 
 
 def compare(old_path, new_path) -> None:
@@ -116,34 +129,48 @@ def compare(old_path, new_path) -> None:
         new = json.load(f)
     worst, where = 0.0, None
     for argv in sorted(old.keys() & new.keys()):
-        (code_a, digest_a, xs), (code_b, digest_b, ys) = old[argv], new[argv]
-        if digest_a != digest_b:
+        (code_a, out_a, err_a, xs), (code_b, out_b, err_b, ys) = old[argv], new[argv]
+        if out_a != out_b:
             print(f"stdout differs: {argv}")
-        if code_a != code_b or len(xs) != len(ys):
-            print(f"differs: {argv}: exit {code_a} -> {code_b}, {len(xs)} -> {len(ys)} numbers")
+        if err_a != err_b:
+            print(f"stderr differs: {argv}")
+        if code_a != code_b or xs.keys() != ys.keys():
+            unshared = len(xs.keys() ^ ys.keys())
+            print(f"differs: {argv}: exit {code_a} -> {code_b}, "
+                  f"{len(xs)} -> {len(ys)} numbers, {unshared} keys in one only")
             continue
-        gap = max((abs(x - y) for x, y in zip(xs, ys) if x != y), default=0.0)
-        if gap > worst:
-            worst, where = gap, argv
+        for key, x in xs.items():
+            if key == "metadata.beta_canonical":  # log_B beta mod 1, on the circle
+                d = math.log(x / ys[key]) / math.log(xs["metadata.base"]) % 1.0
+                gap = min(d, 1.0 - d)
+            else:
+                gap = abs(x - ys[key])
+            if gap > worst:
+                worst, where = gap, f"{argv}: {key}"
     for argv in sorted(old.keys() ^ new.keys()):
         print(f"in one corpus only: {argv}")
     print(f"largest |difference|: {worst!r} ({where})")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main():
     if sys.argv[1:2] == ["--compare"]:
         compare(*sys.argv[2:4])
         return
+    os.environ["COLUMNS"] = "100"
     entries = []
     for argv in corpus():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except Exception:  # the command would end in a traceback, exit 1
                 code = 1
         text = out.getvalue()
-        value = [code, hashlib.sha256(text.encode()).hexdigest(), numbers(text)]
+        value = [code, _sha256(text), _sha256(err.getvalue()), numbers(text)]
         entries.append(f" {json.dumps(' '.join(argv))}: {json.dumps(value)}")
     sys.stdout.write("{\n" + ",\n".join(entries) + "\n}\n")
 
