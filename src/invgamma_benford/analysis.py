@@ -4,9 +4,11 @@ The scalar figure of merit is max over z in [0, 1] of |F_B(z) - z|: zero
 exactly when log_B X mod 1 is uniform, i.e. when X follows the reference
 first-digit law.  Sweeps evaluate it over rectangular parameter grids in
 deterministic row-major order (ascending alpha, then ascending beta), so
-repeated runs are bit-identical.  A row of the sweep (one alpha, every
-beta) is one call of the series kernel, which computes w = e^{2 pi i z}
-once for the whole row; every cell still equals max_deviation bit for bit.
+repeated runs are bit-identical.  Every evaluation uses the smallest
+certified cutoff, which depends on alpha alone, so a row of the sweep (one
+alpha, every beta) is one cutoff and one call of the series kernel, which
+computes w = e^{2 pi i z} once for the whole row; every cell still equals
+max_deviation bit for bit.
 """
 
 import math
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benford import BaseConfig, _as_epsilon, _as_int, log_mod_1
-from .series import (
-    InvGammaParams,
-    _cdf_rows,
-    fb_cdf_series_values,
-    truncation_cutoff,
-)
+from .series import InvGammaParams, _cdf_rows, certified_cutoff, fb_cdf_series_values
 
 __all__ = [
     "DeviationReport",
@@ -44,8 +41,9 @@ class DeviationReport:
     """Max |F_B(z) - z| over a uniform closed z grid.
 
     epsilon is the truncation certificate attached to every evaluated point,
-    in every base; the true maximum deviation lies within epsilon plus the
-    grid-resolution slack of max_dev.
+    in every base, and cutoff_m the smallest cutoff that certifies it
+    (certified_cutoff); the true maximum deviation lies within epsilon plus
+    the grid-resolution slack of max_dev.
     """
 
     max_dev: float
@@ -78,12 +76,12 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
                   grid_points: int = DEFAULT_GRID_POINTS) -> DeviationReport:
     """Evaluate |F_B(z) - z| on a uniform closed grid and report the max.
 
-    The cutoff comes from truncation_cutoff(epsilon), so every grid value
+    The cutoff comes from certified_cutoff(epsilon), so every grid value
     carries the epsilon certificate.  The reported argmax_z attains max_dev
     exactly as evaluated on the grid.
     """
     grid_points = _as_int(grid_points, "grid_points", _MIN_GRID_POINTS)
-    trunc = truncation_cutoff(params, base, epsilon)
+    trunc = certified_cutoff(params.alpha, base, epsilon)
     zs = np.linspace(0.0, 1.0, grid_points)
     values = fb_cdf_series_values(zs, params, base, trunc)
     dev = np.abs(values - zs)
@@ -111,9 +109,9 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon) -> Deviat
     """max_deviation at every lattice point of (min, max, steps) axis specs.
 
     Out-of-range beta values are fine: evaluation canonicalizes them into
-    [1, B) internally, and the grid records the values as given.  Each cell
-    gets its own cutoff, and each alpha row is evaluated by one kernel call
-    on max_deviation's default z grid, so dev[i, j] equals
+    [1, B) internally, and the grid records the values as given.  The cutoff
+    does not depend on beta, so each alpha row gets one cutoff and one kernel
+    call on max_deviation's default z grid, and dev[i, j] equals
     max_deviation(alpha_i, beta_j).max_dev exactly.  Per-cell failures are
     re-raised as DeviationGridError naming the cell (a failure of the row
     evaluation names the row); a bad epsilon is a ValueError raised before
@@ -124,17 +122,15 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon) -> Deviat
     betas = _axis(beta_range, "beta")
     zs = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     dev = np.empty((alphas.size, betas.size))
-    for i, a in enumerate(alphas):
-        thetas, cutoffs = [], []
-        for b in betas:
+    for i, a in enumerate(alphas.tolist()):
+        thetas = []
+        for b in betas.tolist():
             try:
-                params = InvGammaParams(a, b)
-                cutoffs.append(truncation_cutoff(params, base, eps).cutoff_m)
-                thetas.append(log_mod_1(params.beta, base))
+                thetas.append(log_mod_1(b, base))
             except Exception as exc:
                 raise DeviationGridError(f"cell alpha={a!r}, beta={b!r}: {exc}") from exc
         try:
-            values = _cdf_rows(zs, params.alpha, thetas, cutoffs, base)
+            values = _cdf_rows(zs, a, thetas, certified_cutoff(a, base, eps).cutoff_m, base)
         except Exception as exc:
             raise DeviationGridError(f"row alpha={a!r}: {exc}") from exc
         np.subtract(values, zs, out=values)
@@ -150,7 +146,7 @@ def first_digit_probs(params: InvGammaParams, base: BaseConfig, epsilon) -> np.n
     at z = 1 exactly, so the entries telescope to F_B(1) - F_B(0) = 1 up to
     the per-point certificates.
     """
-    trunc = truncation_cutoff(params, base, epsilon)
+    trunc = certified_cutoff(params.alpha, base, epsilon)
     edges = np.log(np.arange(1, base.base + 1, dtype=float)) / base.log_base
     edges[-1] = 1.0  # log_B(B) exactly
     values = fb_cdf_series_values(edges, params, base, trunc)

@@ -17,6 +17,7 @@ Generator.standard_gamma.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,12 +35,7 @@ from .oracle import (
     oracle_window,
     sample_invgamma,
 )
-from .series import (
-    InvGammaParams,
-    canonicalize_beta,
-    fb_cdf_series_values,
-    truncation_cutoff,
-)
+from .series import InvGammaParams, canonicalize_beta, certified_cutoff, fb_cdf_series_values
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -188,7 +184,7 @@ def _cmd_deviation(args) -> int:
 
 def _cmd_cdf(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
-    trunc = truncation_cutoff(params, args.base, args.epsilon)
+    trunc = certified_cutoff(params.alpha, args.base, args.epsilon)
     zs = np.linspace(0.0, 1.0, args.points)
     values = fb_cdf_series_values(zs, params, args.base, trunc)
     payload = {"z": zs.tolist(), "F_B": values.tolist(), "deviation": (values - zs).tolist()}
@@ -227,7 +223,7 @@ def _cmd_grid(args) -> int:
 def _cmd_verify(args) -> int:
     params = InvGammaParams(args.alpha, args.beta)
     base = args.base
-    trunc = truncation_cutoff(params, base, args.epsilon)
+    trunc = certified_cutoff(params.alpha, base, args.epsilon)
 
     checks = {}
 
@@ -297,8 +293,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: building one costs more than a fast command runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "grid":

@@ -12,11 +12,12 @@ with t = log_B(beta) and coefficients r_k = Gamma(a + 2 pi i k / ln B)
 / Gamma(a).  The coefficients decay like exp(-pi^2 k / ln B), so a handful
 of terms give near machine precision.  A cutoff M sums the terms
 |k| <= M-1.  DLMF 5.8.3 bounds the dropped tail sum_{k>=M} |r_k| in
-closed form for every base B >= 2; truncation_cutoff uses that bound to
-choose M for a requested uniform accuracy epsilon, and every evaluation
-reports it as its residual bound.  The paper's closed-form tail
-expressions are kept as reproductions: tail_bound_general,
-tail_bound_alpha1 and cutoff_alpha1.
+closed form for every base B >= 2, and every evaluation reports that
+bound as its residual bound.  certified_cutoff returns the smallest M
+whose bound meets a requested uniform accuracy epsilon: about sqrt(alpha)
+terms, one M for every beta.  The paper's rules are kept as reproductions:
+truncation_cutoff (M > alpha + 1, raised where the bound needs it),
+tail_bound_general, tail_bound_alpha1 and cutoff_alpha1.
 
 Scaling beta by any power of B leaves every quantity here unchanged, so
 beta is canonicalized into [1, B) before evaluation.  All functions are
@@ -33,11 +34,10 @@ and one routine, _horner, evaluates both by Horner's rule (its rounding
 is the gamma_n analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 5).  w - 1 is formed from sin(pi z), so it is exactly 0
 at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  A deviation
-sweep evaluates an alpha row in one call, from one table for the row's
-largest cutoff with each cell's coefficients set to 0 from its own cutoff
-on.  Only elementwise operations on real float64 arrays are used (no BLAS,
-no complex arrays), so a value never depends on the row it was computed
-in or on the thread count.
+sweep evaluates an alpha row in one call, from one table at the row's one
+cutoff.  Only elementwise operations on real float64 arrays are used (no
+BLAS, no complex arrays), so a value never depends on the row it was
+computed in or on the thread count.
 """
 
 import cmath
@@ -62,6 +62,7 @@ __all__ = [
     "TruncationSpec",
     "SeriesEvaluation",
     "canonicalize_beta",
+    "certified_cutoff",
     "truncation_cutoff",
     "tail_bound_general",
     "tail_bound_alpha1",
@@ -171,14 +172,47 @@ def _cdf_residual(alpha: float, base: BaseConfig, m: int) -> float:
     return 2.0 * _tail_bound(alpha, base, m) / (math.pi * m)
 
 
+def _least_cutoff(alpha: float, base: BaseConfig, eps: float, m: int) -> int:
+    """Least M >= m with _cdf_residual(alpha, base, M) <= eps.  The bound
+    decreases in M: double from m until it is met, then bisect between the
+    last miss (lo, at first the floor m - 1) and the first hit (m)."""
+    lo = m - 1
+    while _cdf_residual(alpha, base, m) > eps:
+        lo, m = m, 2 * m
+    while m - lo > 1:
+        mid = (lo + m) // 2
+        if _cdf_residual(alpha, base, mid) > eps:
+            lo = mid
+        else:
+            m = mid
+    return m
+
+
+def certified_cutoff(alpha, base: BaseConfig, epsilon) -> TruncationSpec:
+    """The smallest cutoff M whose certified CDF truncation error 2 S / (pi M)
+    is at most epsilon (S from DLMF 5.8.3, see _tail_bound).
+
+    The bound reads only alpha, B and M, so one cutoff serves every beta.
+    It grows like sqrt(alpha), where the paper's rule grows like alpha.
+
+    Raises:
+        ValueError: for alpha not positive and finite, or epsilon outside (0, 1).
+    """
+    a = _as_positive_finite(alpha, "alpha")
+    eps = _as_epsilon(epsilon)
+    return TruncationSpec(epsilon=eps, cutoff_m=_least_cutoff(a, base, eps, 1))
+
+
 def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> TruncationSpec:
-    """Cutoff M whose certified CDF truncation error is at most epsilon, for any base >= 2.
+    """The paper's cutoff M, raised where needed so that its certified CDF
+    truncation error is at most epsilon, for any base >= 2.
 
     M starts at the paper's rule, the least integer exceeding
     max(alpha + 1, -log_B(eps * Gamma(alpha) / (2 * B^alpha * beta))) with
     beta first canonicalized into [1, B).  Where that M leaves the bound
-    2 S / (pi M) of the dropped terms (S from DLMF 5.8.3, see _tail_bound)
-    above epsilon, M is raised to the least value that meets it.
+    2 S / (pi M) of the dropped terms above epsilon, M is raised to the
+    least value that meets it.  Kept as the paper's reproduction: every
+    evaluation path uses the smaller certified_cutoff.
 
     Raises:
         ValueError: for epsilon outside (0, 1), non-finite included.
@@ -188,19 +222,7 @@ def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> Trun
     a, lb = canonical.alpha, base.log_base
     t = -(math.log(eps) + math.lgamma(a) - _LOG2 - a * lb - math.log(canonical.beta)) / lb
     m = math.floor(max(a + 1.0, t)) + 1
-    if _cdf_residual(a, base, m) > eps:
-        # the bound decreases in M: double until it is met, then bisect
-        # between the last miss (lo) and the first hit (m)
-        lo, m = m, 2 * m
-        while _cdf_residual(a, base, m) > eps:
-            lo, m = m, 2 * m
-        while m - lo > 1:
-            mid = (lo + m) // 2
-            if _cdf_residual(a, base, mid) > eps:
-                lo = mid
-            else:
-                m = mid
-    return TruncationSpec(epsilon=eps, cutoff_m=m)
+    return TruncationSpec(epsilon=eps, cutoff_m=_least_cutoff(a, base, eps, m))
 
 
 def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> float:
@@ -283,20 +305,16 @@ def _unit_points(zs):
     return 1.0 + v_re, v_im, v_re, v_im
 
 
-def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoffs):
-    """a_k = r_k e^{-2 pi i k theta_j} for k = 1..max(cutoffs) - 1, one column per
-    phase theta_j, as real and imaginary arrays; column j is 0 from k = cutoffs[j] on."""
-    table = _gamma_ratio_table(alpha, base, max(cutoffs))
+def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
+    """a_k = r_k e^{-2 pi i k theta_j} for k = 1..cutoff_m - 1, one column per
+    phase theta_j, as real and imaginary arrays."""
+    table = _gamma_ratio_table(alpha, base, cutoff_m)
     k = np.arange(1.0, len(table) + 1.0)[:, None]
     u = k * np.asarray(thetas, dtype=float)
     phase = _TWO_PI * (u - np.round(u))
     cos, sin = np.cos(phase), np.sin(phase)
     r_re, r_im = table.real[:, None], table.imag[:, None]
-    a_re, a_im = r_re * cos + r_im * sin, r_im * cos - r_re * sin
-    dropped = k >= np.asarray(cutoffs)
-    a_re[dropped] = 0.0
-    a_im[dropped] = 0.0
-    return k, a_re, a_im
+    return k, r_re * cos + r_im * sin, r_im * cos - r_re * sin
 
 
 def _horner(w_re, w_im, c_re, c_im):
@@ -305,8 +323,7 @@ def _horner(w_re, w_im, c_re, c_im):
     c_re and c_im have shape (terms, columns), w_re and w_im shape (points,);
     the real and imaginary parts returned have shape (columns, points).  The
     recurrence uses real float64 arrays and elementwise operations only, so a
-    value is the same IEEE operations whatever else the block holds, and
-    leading zero coefficients leave it exactly 0.
+    value is the same IEEE operations whatever else the block holds.
     """
     shape = (c_re.shape[1], w_re.size)
     p_re, p_im = np.zeros(shape), np.zeros(shape)
@@ -325,18 +342,16 @@ def _horner(w_re, w_im, c_re, c_im):
     return p_re, p_im
 
 
-def _cdf_rows(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray:
-    """F_B at zs for one alpha and a row of phases theta_j, each with its own cutoff.
+def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.ndarray:
+    """F_B at zs for one alpha and a row of phases theta_j, all at one cutoff.
 
     With c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
     F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j].  One table serves the
-    row's largest cutoff; a cell's zeroed coefficients give zero tail sums
-    and leave Horner's value exactly 0 until its own terms start, so each
-    row equals a one-phase call bit for bit.  Returns an array of shape
-    (len(thetas),) + zs.shape.
+    row, and each row of the result equals a one-phase call bit for bit.
+    Returns an array of shape (len(thetas),) + zs.shape.
     """
     shape = np.shape(zs)
-    k, a_re, a_im = _phase_coefficients(alpha, base, thetas, cutoffs)
+    k, a_re, a_im = _phase_coefficients(alpha, base, thetas, cutoff_m)
     two_pi_k = _TWO_PI * k
     d_re = np.cumsum((a_im / two_pi_k)[::-1], axis=0)[::-1]
     d_im = np.cumsum((-a_re / two_pi_k)[::-1], axis=0)[::-1]
@@ -348,7 +363,7 @@ def _cdf_rows(zs, alpha: float, thetas, cutoffs, base: BaseConfig) -> np.ndarray
 
 def _prime_row(zs, alpha: float, theta: float, cutoff_m: int, base: BaseConfig) -> np.ndarray:
     """F_B'(z) = 1 + 2 Re[w sum_k a_k w^{k-1}] at zs, of the shape of zs."""
-    _, a_re, a_im = _phase_coefficients(alpha, base, [theta], [cutoff_m])
+    _, a_re, a_im = _phase_coefficients(alpha, base, [theta], cutoff_m)
     w_re, w_im, _, _ = _unit_points(zs)
     p_re, p_im = _horner(w_re, w_im, a_re, a_im)
     values = 1.0 + 2.0 * (w_re * p_re[0] - w_im * p_im[0])
@@ -385,11 +400,11 @@ def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
     F(0) = 0 and F(1) = 1 hold exactly (the factor w - 1 is exactly 0 at
     the endpoints).  The residual bound is 2 S / (pi M), uniform
     in z, with S the bound of _tail_bound at M = trunc.cutoff_m; a cutoff
-    from truncation_cutoff makes it at most the requested epsilon.
+    from certified_cutoff makes it at most the requested epsilon.
     """
     fz = _as_unit_interval(z)
     theta = log_mod_1(params.beta, base)
-    value = float(_cdf_rows([fz], params.alpha, [theta], [trunc.cutoff_m], base)[0, 0])
+    value = float(_cdf_rows([fz], params.alpha, [theta], trunc.cutoff_m, base)[0, 0])
     residual = _cdf_residual(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -403,4 +418,4 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
     """
     arr = _unit_interval_array(zs)
     theta = log_mod_1(params.beta, base)
-    return _cdf_rows(arr, params.alpha, [theta], [trunc.cutoff_m], base)[0]
+    return _cdf_rows(arr, params.alpha, [theta], trunc.cutoff_m, base)[0]

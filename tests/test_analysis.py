@@ -13,6 +13,7 @@ from invgamma_benford.benford import BaseConfig, benford_digit_prob
 from invgamma_benford.series import (
     InvGammaParams,
     TruncationSpec,
+    certified_cutoff,
     fb_cdf_series_values,
     fb_prime_series_values,
     truncation_cutoff,
@@ -55,7 +56,7 @@ class TestMaxDeviation:
     def test_argmax_attains_max_exactly_as_evaluated(self):
         p = InvGammaParams(3.3, 2.2)
         report = max_deviation(p, B10, 1e-6)
-        trunc = truncation_cutoff(p, B10, 1e-6)
+        trunc = certified_cutoff(p.alpha, B10, 1e-6)
         zs = np.linspace(0.0, 1.0, report.grid_points)
         vals = fb_cdf_series_values(zs, p, B10, TruncationSpec(1e-6, report.cutoff_m))
         idx = int(np.argmax(np.abs(vals - zs)))
@@ -79,7 +80,7 @@ class TestMaxDeviation:
         b2 = BaseConfig(2)
         report = max_deviation(p, b2, 0.001)
         assert report.epsilon == 0.001
-        assert report.cutoff_m == truncation_cutoff(p, b2, 0.001).cutoff_m
+        assert report.cutoff_m == certified_cutoff(p.alpha, b2, 0.001).cutoff_m
         assert report.max_dev >= 0.0
 
     def test_validation(self):
@@ -125,18 +126,20 @@ class TestDeviationGrid:
             assert float(row.max() - row.min()) < span
 
     def test_cell_errors_carry_coordinates(self, monkeypatch):
-        """A failure in one cell's own step (its cutoff) names that cell's alpha and beta."""
+        """A failure in one cell's own step (its phase) names that cell's alpha and beta."""
         import invgamma_benford.analysis as analysis_mod
 
-        real_cutoff = analysis_mod.truncation_cutoff
+        real_phase = analysis_mod.log_mod_1
+        row = []
 
-        def boom(params, base, epsilon):
-            if params.alpha == 2.0 and params.beta == 1.0:
+        def boom(x, base):
+            row.append(x)
+            if len(row) == 4:  # second row (alpha = 2), second cell (beta = 2)
                 raise ArithmeticError("synthetic cell failure")
-            return real_cutoff(params, base, epsilon)
+            return real_phase(x, base)
 
-        monkeypatch.setattr(analysis_mod, "truncation_cutoff", boom)
-        with pytest.raises(DeviationGridError, match="alpha=.*beta="):
+        monkeypatch.setattr(analysis_mod, "log_mod_1", boom)
+        with pytest.raises(DeviationGridError, match="cell alpha=2.0, beta=2.0: synthetic"):
             analysis_mod.deviation_grid((1.0, 2.0, 2), (1.0, 2.0, 2), B10, 0.001)
 
     def test_validation(self):
@@ -160,21 +163,28 @@ class TestDeviationGrid:
     @pytest.mark.parametrize("base_int", [3, 10, 16])
     @pytest.mark.parametrize("eps", [1e-3, 1e-10])
     def test_every_cell_equals_max_deviation_bitwise(self, base_int, eps):
-        # small alphas mix cutoffs within a row; betas lie outside [1, B)
+        # betas lie outside [1, B); the rows' cutoffs differ, each row has one
         base = BaseConfig(base_int)
         grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
-        cutoffs = set()
         for i, a in enumerate(grid.alpha_values):
-            row = []
             for j, b in enumerate(grid.beta_values):
-                p = InvGammaParams(a, b)
-                row.append(truncation_cutoff(p, base, eps).cutoff_m)
-                assert grid.dev[i, j] == max_deviation(p, base, eps).max_dev
-            cutoffs.add(len(set(row)))
-        assert max(cutoffs) > 1
+                assert grid.dev[i, j] == max_deviation(InvGammaParams(a, b), base, eps).max_dev
+
+    def test_one_cutoff_per_row(self, monkeypatch):
+        import invgamma_benford.analysis as analysis_mod
+
+        real, alphas = analysis_mod.certified_cutoff, []
+
+        def counting(alpha, base, epsilon):
+            alphas.append(alpha)
+            return real(alpha, base, epsilon)
+
+        monkeypatch.setattr(analysis_mod, "certified_cutoff", counting)
+        grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), BaseConfig(16), 1e-10)
+        assert alphas == grid.alpha_values.tolist()
 
     def test_row_builds_one_table(self, monkeypatch):
-        """A row with mixed cutoffs builds one gamma-ratio table, for its largest cutoff."""
+        """Each row builds one gamma-ratio table, at its one certified cutoff."""
         import invgamma_benford.series as series_mod
 
         base, eps = BaseConfig(16), 1e-10
@@ -186,13 +196,7 @@ class TestDeviationGrid:
 
         monkeypatch.setattr(series_mod, "complex_log_gamma", counting)
         grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
-        expected, mixed = 0, False
-        for a in grid.alpha_values:
-            row = [truncation_cutoff(InvGammaParams(a, b), base, eps).cutoff_m
-                   for b in grid.beta_values]
-            expected += max(row) - 1
-            mixed = mixed or len(set(row)) > 1
-        assert mixed
+        expected = sum(certified_cutoff(a, base, eps).cutoff_m - 1 for a in grid.alpha_values)
         assert len(calls) == expected
 
     @pytest.mark.parametrize("alpha, base_int, m_big", [(0.02, 3, 9), (1.7, 10, 30),
@@ -211,12 +215,13 @@ class TestDeviationGrid:
         zs = np.linspace(0.0, 1.0, 301)
         b16 = BaseConfig(16)
         thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
-        cutoffs = [9, 3, 14, 1, 9]
-        block = _cdf_rows(zs, 0.4, thetas, cutoffs, b16)
-        assert block.shape == (5, 301)
-        for theta, m, row in zip(thetas, cutoffs, block):
-            assert np.array_equal(_cdf_rows(zs, 0.4, [theta], [m], b16)[0], row)
-        assert np.array_equal(block[3], zs)  # cutoff 1 sums no terms
+        for m in (9, 3, 14, 1):
+            block = _cdf_rows(zs, 0.4, thetas, m, b16)
+            assert block.shape == (5, 301)
+            for theta, row in zip(thetas, block):
+                assert np.array_equal(_cdf_rows(zs, 0.4, [theta], m, b16)[0], row)
+            if m == 1:  # cutoff 1 sums no terms
+                assert np.array_equal(block, np.broadcast_to(zs, block.shape))
 
 
 class TestFirstDigitProbs:

@@ -25,7 +25,7 @@ class TestDeviationCommand:
         meta = env["metadata"]
         assert meta["alpha"] == 1.0 and meta["beta"] == 1.0
         assert meta["epsilon"] == 0.001
-        assert meta["cutoff_m"] == 5
+        assert meta["cutoff_m"] == 2  # certified_cutoff; the paper's rule gives 5
         assert meta["certified"] is True
         assert meta["tool_version"]
         payload = env["payload"]
@@ -340,7 +340,7 @@ class TestParserBasics:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["metadata"]["cutoff_m"] == 5
+        assert json.loads(proc.stdout)["metadata"]["cutoff_m"] == 2
 
     def test_closed_pipe_exits_141_without_traceback(self):
         """A reader that stops early, as `| head -1` does, ends the command
@@ -355,3 +355,20 @@ class TestParserBasics:
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 141
         assert "Traceback" not in err
+
+    def test_reused_parser_prints_what_a_fresh_one_does(self, capsys, monkeypatch):
+        """main keeps one parser per process; a usage error between commands
+        leaves no state in it, so every stdout equals a fresh-parser run."""
+        from invgamma_benford import cli
+
+        runs = [["deviation", "--alpha", "2.5", "--beta", "3"],
+                ["deviation", "--alpha", "0", "--beta", "1"],
+                ["grid", "--alpha-min", "1", "--alpha-max", "3", "--alpha-steps", "2",
+                 "--beta-min", "1", "--beta-max", "9", "--beta-steps", "3"],
+                ["deviation", "--alpha", "2.5", "--beta", "3"]]
+        shared = [run_cli(capsys, *argv) for argv in runs]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in runs]
+        assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+        assert shared == fresh

@@ -3,11 +3,13 @@ tail expressions."""
 
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from invgamma_benford.analysis import max_deviation
 from invgamma_benford.benford import BaseConfig, log_mod_1
 from invgamma_benford.oracle import OracleConfig, fb_cdf_oracle, oracle_window
 from invgamma_benford.series import (
@@ -18,6 +20,7 @@ from invgamma_benford.series import (
     _gamma_ratio_table,
     _tail_bound,
     canonicalize_beta,
+    certified_cutoff,
     cutoff_alpha1,
     fb_cdf_series,
     fb_cdf_series_values,
@@ -117,6 +120,62 @@ class TestTruncationCutoff:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             truncation_cutoff(InvGammaParams(1.0, 1.0), B10, 0.0)
+
+
+class TestCertifiedCutoff:
+    def test_hand_values(self):
+        assert certified_cutoff(1.0, B10, 0.001).cutoff_m == 2  # the paper's rule gives 5
+        cuts = [certified_cutoff(a, B10, 1e-8).cutoff_m for a in (1.0, 5.0, 50.0, 1e3, 1e5)]
+        assert cuts == [5, 7, 16, 64, 627]
+
+    @pytest.mark.parametrize("base_int", [2, 10, 36])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.1, 1.0, 50.0, 3000.0, 1e5])
+    def test_least_cutoff_meeting_epsilon(self, alpha, base_int):
+        base = BaseConfig(base_int)
+        for eps in 10.0 ** -np.arange(3, 13):
+            trunc = certified_cutoff(alpha, base, eps)
+            m = trunc.cutoff_m
+            assert trunc.epsilon == eps
+            assert _cdf_residual(alpha, base, m) <= eps
+            assert m == 1 or _cdf_residual(alpha, base, m - 1) > eps
+
+    @pytest.mark.parametrize("base_int", [2, 10, 36])
+    def test_one_cutoff_for_every_beta_never_above_the_paper(self, base_int):
+        base = BaseConfig(base_int)
+        for alpha in (0.01, 0.7, 4.0, 120.0):
+            for eps in (1e-3, 1e-8, 1e-12):
+                m = certified_cutoff(alpha, base, eps).cutoff_m
+                for beta in (1e-300, 0.3, 1.0, 2.5, base_int - 0.01, 7e5, 1e300):
+                    p = InvGammaParams(alpha, beta)
+                    assert max_deviation(p, base, eps, 101).cutoff_m == m
+                    assert m <= truncation_cutoff(p, base, eps).cutoff_m
+
+    def test_max_deviation_holds_at_eight_times_the_cutoff(self):
+        zs = np.linspace(0.0, 1.0, 1001)
+        for alpha, beta, base_int, eps in [(0.05, 1.0, 10, 1e-3), (0.8, 3.3, 2, 1e-6),
+                                           (3.0, 7.7, 36, 1e-8), (40.0, 1.5, 10, 1e-10),
+                                           (300.0, 2.2, 16, 1e-8), (2000.0, 9.1, 3, 1e-12)]:
+            p, base = InvGammaParams(alpha, beta), BaseConfig(base_int)
+            report = max_deviation(p, base, eps)
+            wide = fb_cdf_series_values(zs, p, base, TruncationSpec(eps, 8 * report.cutoff_m))
+            assert abs(report.max_dev - float(np.max(np.abs(wide - zs)))) <= eps
+
+    def test_large_alpha_is_fast(self):
+        p = InvGammaParams(1e5, 3.0)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            max_deviation(p, B10, 1e-8)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+
+    def test_validation(self):
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                certified_cutoff(alpha, B10, 1e-3)
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                certified_cutoff(1.0, B10, eps)
 
 
 class TestTailBounds:

@@ -6,16 +6,24 @@
 Runs a fixed list of invocations in this process through
 invgamma_benford.cli.main and prints one JSON object, one entry per
 line, that maps each argv, joined by spaces, to [exit code, sha256 of
-stdout, sha256 of stderr, numbers of stdout].  COLUMNS is pinned, so
+stdout, sha256 of stderr, numbers of the output].  COLUMNS is pinned, so
 argparse's usage text does not depend on the terminal.  The numbers map
 a key path to each number of the JSON metadata and payload
 ("payload.max_dev[2][5]"), or of the CSV rows below the header
-("row 3.F_B").  Run it on two trees and diff the outputs: identical
-files mean identical stdout and stderr bytes and exit codes on every
-invocation.  Where the bytes change on purpose, --compare names every
-invocation whose stdout or stderr digest differs, reports those whose
-exit code or number keys differ, and prints the largest |difference|
-between the numbers of the others, with its key.  beta_canonical is
+("row 3.F_B") together with the CSV metadata line on stderr
+("metadata.cutoff_m").  Run it on two trees and diff the outputs:
+identical files mean identical stdout and stderr bytes and exit codes on
+every invocation.  Where the bytes change on purpose, --compare names
+every invocation whose stdout or stderr digest differs and reports those
+whose exit code or number keys differ.  It lists every cutoff_m and
+argmax_z that moved as old -> new (a term count and a location: epsilon
+bounds neither), and checks every other number against twice the
+invocation's own metadata.epsilon (0 where it has none, as for
+sample), plus one unit in the last printed place of a CSV cell: at most
+max(1e-6, 1e-5 |x|), as the CLI prints at least 6 decimals or 6
+significant digits.  It prints each number beyond that, a summary, and
+the largest |difference| with its key, and exits 1 if an exit code, a
+key or a number differs beyond its tolerance.  beta_canonical is
 compared by the circular distance of log_B beta mod 1, so a canonical
 beta that wraps from just below B to 1.0 counts as the small change of
 scale that it is.  A run takes about 1 s on a 2-core machine.
@@ -27,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from invgamma_benford import cli
@@ -111,45 +120,71 @@ def _csv_numbers(stdout: str):
                 pass
 
 
-def numbers(stdout: str) -> dict:
-    """The numbers of one stdout by key path: its JSON metadata's and payload's,
-    or its CSV rows'."""
+def _csv_metadata(stderr: str):
+    first = stderr.partition("\n")[0]
+    if first.startswith("# "):
+        for key, text in re.findall(r"(\w+)=(\S+)", first):
+            try:
+                yield f"metadata.{key}", float(text)
+            except ValueError:
+                pass
+
+
+def numbers(stdout: str, stderr: str = "") -> dict:
+    """The numbers of one run by key path: its JSON metadata's and payload's,
+    or its CSV rows' and its stderr metadata line's."""
     try:
         envelope = json.loads(stdout)
         return dict(_flatten({"metadata": envelope["metadata"],
                               "payload": envelope["payload"]}, ""))
     except (ValueError, KeyError, TypeError):
-        return dict(_csv_numbers(stdout))
+        return {**dict(_csv_metadata(stderr)), **dict(_csv_numbers(stdout))}
 
 
-def compare(old_path, new_path) -> None:
+def compare(old_path, new_path) -> int:
     with open(old_path) as f:
         old = json.load(f)
     with open(new_path) as f:
         new = json.load(f)
-    worst, where = 0.0, None
-    for argv in sorted(old.keys() & new.keys()):
+    worst, where, unmatched, moved, beyond = 0.0, None, 0, [], []
+    shared = sorted(old.keys() & new.keys())
+    for argv in shared:
         (code_a, out_a, err_a, xs), (code_b, out_b, err_b, ys) = old[argv], new[argv]
         if out_a != out_b:
             print(f"stdout differs: {argv}")
         if err_a != err_b:
             print(f"stderr differs: {argv}")
         if code_a != code_b or xs.keys() != ys.keys():
+            unmatched += 1
             unshared = len(xs.keys() ^ ys.keys())
             print(f"differs: {argv}: exit {code_a} -> {code_b}, "
                   f"{len(xs)} -> {len(ys)} numbers, {unshared} keys in one only")
             continue
+        tolerance = 2.0 * xs.get("metadata.epsilon", 0.0)
         for key, x in xs.items():
+            name = key.rpartition(".")[2]
+            if name in ("cutoff_m", "argmax_z"):
+                if x != ys[key]:
+                    moved.append(f"{name} {x:g} -> {ys[key]:g}: {argv}")
+                continue
             if key == "metadata.beta_canonical":  # log_B beta mod 1, on the circle
                 d = math.log(x / ys[key]) / math.log(xs["metadata.base"]) % 1.0
                 gap = min(d, 1.0 - d)
             else:
                 gap = abs(x - ys[key])
+            printed = max(1e-6, 1e-5 * abs(x)) if key.startswith("row ") else 0.0
+            if gap > tolerance + printed:
+                beyond.append(f"beyond 2 epsilon: {argv}: {key}: {x!r} -> {ys[key]!r}")
             if gap > worst:
                 worst, where = gap, f"{argv}: {key}"
+    print("\n".join(moved + beyond))
     for argv in sorted(old.keys() ^ new.keys()):
+        unmatched += 1
         print(f"in one corpus only: {argv}")
-    print(f"largest |difference|: {worst!r} ({where})")
+    print(f"{len(shared)} invocations: {unmatched} with a different exit code or keys, "
+          f"{len(beyond)} numbers beyond 2 epsilon, {len(moved)} cutoffs or argmaxes moved")
+    print(f"largest |difference| (cutoff_m and argmax_z aside): {worst!r} ({where})")
+    return 1 if unmatched or beyond else 0
 
 
 def _sha256(text: str) -> str:
@@ -158,8 +193,7 @@ def _sha256(text: str) -> str:
 
 def main():
     if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:4])
-        return
+        sys.exit(compare(*sys.argv[2:4]))
     os.environ["COLUMNS"] = "100"
     entries = []
     for argv in corpus():
@@ -170,7 +204,7 @@ def main():
             except Exception:  # the command would end in a traceback, exit 1
                 code = 1
         text = out.getvalue()
-        value = [code, _sha256(text), _sha256(err.getvalue()), numbers(text)]
+        value = [code, _sha256(text), _sha256(err.getvalue()), numbers(text, err.getvalue())]
         entries.append(f" {json.dumps(' '.join(argv))}: {json.dumps(value)}")
     sys.stdout.write("{\n" + ",\n".join(entries) + "\n}\n")
 
