@@ -30,7 +30,7 @@ from .analysis import DEFAULT_GRID_POINTS, _MIN_GRID_POINTS, deviation_grid, max
 from .benford import BaseConfig, _as_epsilon, _as_int, _as_positive_finite, log_mod_1_array
 from .oracle import (
     OracleConfig,
-    fb_cdf_oracle,
+    fb_cdf_oracle_values,
     ks_distance,
     oracle_window,
     sample_invgamma,
@@ -230,15 +230,16 @@ def _cmd_verify(args) -> int:
     zs = np.linspace(0.0, 1.0, 21)
     series = fb_cdf_series_values(zs, params, base, trunc)
     cfg = OracleConfig(k_range=oracle_window(params, base))
-    oracle = [fb_cdf_oracle(float(z), params, base, cfg) for z in zs]
-    gap = max(abs(float(s) - o) for s, o in zip(series, oracle))
+    oracle = fb_cdf_oracle_values(zs, params, base, cfg)
+    gap = float(np.max(np.abs(series - oracle)))
     tol = max(2.0 * args.epsilon, 1e-7)
     checks["series_vs_oracle"] = {"value": gap, "tolerance": tol, "passed": gap <= tol}
 
     # zs[5], zs[10] and zs[15] are exactly 0.25, 0.5 and 0.75
-    wide = OracleConfig(k_range=2 * cfg.k_range)
-    residue = max(abs(oracle[i] - fb_cdf_oracle(float(zs[i]), params, base, wide))
-                  for i in (5, 10, 15))
+    quarters = [5, 10, 15]
+    wide = fb_cdf_oracle_values(zs[quarters], params, base,
+                                OracleConfig(k_range=2 * cfg.k_range))
+    residue = float(np.max(np.abs(oracle[quarters] - wide)))
     checks["oracle_k_convergence"] = {"value": residue, "tolerance": 1e-12,
                                       "passed": residue <= 1e-12}
 

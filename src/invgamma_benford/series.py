@@ -116,7 +116,8 @@ class SeriesEvaluation:
     residual_bound in absolute value; floating-point rounding of the
     summed terms comes on top.  Measured against 40-digit sums of the
     same series, that rounding stays within 4e-16 for F up to alpha = 3000
-    and reaches about 1e-13 for F' at alpha = 3000 (cutoff 3002); no bound
+    and reaches about 1e-13 for F' at alpha = 3000 (measured at the paper's
+    cutoff 3002, which no evaluation path uses any more); no bound
     is reported for it yet (ROADMAP item 3).
     """
 

@@ -139,6 +139,25 @@ class TestLogMod1:
             d = abs(f - log_mod_1(float(x), b10))
             assert min(d, 1.0 - d) <= 1e-12  # allow mod-1 wraparound
 
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 36, 1000])
+    def test_array_matches_np_mod_bit_for_bit(self, base):
+        """y - floor(y) is np.mod(y, 1.0) bit for bit, at exact powers of B and
+        for y just below 0 (which rounds to 1.0) included."""
+        b = BaseConfig(base)
+        rng = np.random.default_rng(base)
+        ks = np.arange(-300, 301)
+        ks = ks[np.abs(ks * b.log_base) < 700]
+        powers = float(base) ** ks.astype(float)
+        below_one = 1.0 - np.ldexp(1.0, -np.append(rng.integers(1, 54, size=2000), 53))
+        xs = np.concatenate([np.exp(rng.uniform(-700, 700, size=160_000)), powers,
+                             np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             below_one])
+        got = log_mod_1_array(xs, b)
+        want = np.mod(np.log(xs) / b.log_base, 1.0)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        if b.log_base > 2.0:  # y = log(1 - 2^-53) / ln B lies within 2^-54 of 0
+            assert got[-1] == 1.0
+
     def test_array_rejects_bad_values(self):
         with pytest.raises(ValueError):
             log_mod_1_array(np.array([1.0, -2.0]), BaseConfig(10))

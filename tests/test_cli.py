@@ -210,7 +210,8 @@ class TestVerifyCommand:
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         import invgamma_benford.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "fb_cdf_oracle", lambda z, p, b, cfg: 0.5)
+        monkeypatch.setattr(cli_mod, "fb_cdf_oracle_values",
+                            lambda zs, p, b, cfg: np.full(len(zs), 0.5))
         code, _, err = run_cli(capsys, "verify", "--alpha", "1", "--beta", "1")
         assert code == 1
         assert "verification failed: series_vs_oracle" in err

@@ -1,22 +1,33 @@
 """Tests for the direct-summation oracle and the Monte Carlo channel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from invgamma_benford.benford import BaseConfig
+from invgamma_benford.benford import BaseConfig, log_mod_1_array
 from invgamma_benford.oracle import (
     OracleConfig,
     OracleTailWarning,
     SampleBatch,
     fb_cdf_oracle,
+    fb_cdf_oracle_values,
     ks_distance,
     oracle_window,
     sample_invgamma,
 )
-from invgamma_benford.series import InvGammaParams, fb_cdf_series, truncation_cutoff
+from invgamma_benford.series import (
+    InvGammaParams,
+    TruncationSpec,
+    certified_cutoff,
+    fb_cdf_series,
+    fb_cdf_series_values,
+    truncation_cutoff,
+)
 
 B10 = BaseConfig(10)
 
@@ -124,6 +135,29 @@ class TestOracle:
                     assert gap <= ev.residual_bound + 1e-9
 
 
+class TestOracleValues:
+    @pytest.mark.parametrize("alpha,beta,base", [(0.05, 1.0, 10), (1.0, 3.0, 10),
+                                                 (2.7, 6.1, 3), (40.0, 0.2, 16)])
+    def test_matches_one_point_calls_bit_for_bit(self, alpha, beta, base):
+        p, b = InvGammaParams(alpha, beta), BaseConfig(base)
+        cfg = OracleConfig(k_range=oracle_window(p, b))
+        zs = np.linspace(0.0, 1.0, 21)
+        got = fb_cdf_oracle_values(zs, p, b, cfg)
+        assert [float(v).hex() for v in got] == [fb_cdf_oracle(z, p, b, cfg).hex() for z in zs]
+
+    def test_narrow_window_warns_once_per_point(self):
+        p, cfg = InvGammaParams(0.1, 1.0), OracleConfig(k_range=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fb_cdf_oracle_values([0.0, 0.25, 0.5, 1.0], p, B10, cfg)
+            fb_cdf_oracle(0.5, p, B10, cfg)
+        # every term is exactly zero at z = 0, so three of the four points warn,
+        # and the one-point call once
+        assert len(caught) == 4
+        assert all(issubclass(w.category, OracleTailWarning) for w in caught)
+        assert all(w.filename == __file__ for w in caught)  # the caller is named
+
+
 class TestSampler:
     def test_mean_for_shape_three(self):
         batch = sample_invgamma(InvGammaParams(3.0, 2.0), 10 ** 6, 123)
@@ -165,7 +199,64 @@ class TestSampler:
             sample_invgamma(InvGammaParams(1.0, 1.0), 2.5, 1)
 
 
+def _ks_brute(batch, base, params, trunc):
+    """The statistic from F at every sorted sample, the reference for ks_distance."""
+    frac = np.sort(log_mod_1_array(batch.values, base))
+    model = fb_cdf_series_values(frac, params, base, trunc)
+    n = frac.size
+    steps = np.arange(1, n + 1, dtype=float) / n
+    return max(float(np.max(steps - model)), float(np.max(model - (steps - 1.0 / n))))
+
+
 class TestKsDistance:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(log_alpha=st.floats(math.log(1e-2), math.log(1e5)),
+           beta=st.floats(1e-3, 1e3), base=st.integers(2, 36),
+           log_n=st.floats(0.0, math.log(3e5)), seed=st.integers(0, 2 ** 32),
+           epsilon=st.sampled_from([1e-3, 1e-8, 1e-12]))
+    @example(log_alpha=math.log(1e5), beta=1.0, base=10, log_n=math.log(3e5), seed=1,
+             epsilon=1e-8)
+    @example(log_alpha=0.0, beta=1.0, base=10, log_n=0.0, seed=3, epsilon=1e-8)
+    def test_bit_identical_to_all_points(self, log_alpha, beta, base, log_n, seed, epsilon):
+        p, b = InvGammaParams(math.exp(log_alpha), beta), BaseConfig(base)
+        trunc = certified_cutoff(p.alpha, b, epsilon)
+        batch = sample_invgamma(p, round(math.exp(log_n)), seed)
+        assert ks_distance(batch, b, p, trunc).hex() == _ks_brute(batch, b, p, trunc).hex()
+
+    @pytest.mark.parametrize("values", [[2.5] * 64, [1.0], [10.0] * 5 + [3.0, 0.01, 7.0],
+                                        [1.0, 1e-3, 100.0] * 100,
+                                        [math.nextafter(1.0, 0.0)] * 3 + [2.0]])
+    def test_bit_identical_on_hand_built_batches(self, values):
+        """Constant batches, one sample, samples at exactly z = 0, and samples whose
+        log_B x mod 1 rounds to 1.0 (x just below 1 in base 10); each at the
+        certified cutoff and at a hand-built cutoff 2, whose truncation error
+        of about 6e-4 widens every bound."""
+        p = InvGammaParams(1.0, 1.0)
+        batch = SampleBatch(values=np.array(values), seed=0, params=p)
+        for trunc in (certified_cutoff(1.0, B10, 1e-8), TruncationSpec(1e-8, cutoff_m=2)):
+            assert (ks_distance(batch, B10, p, trunc).hex()
+                    == _ks_brute(batch, B10, p, trunc).hex())
+
+    @pytest.mark.parametrize("alpha,base", [(0.4, 10), (3.0, 3), (60.0, 16)])
+    def test_bit_identical_on_near_ties(self, alpha, base):
+        """Samples at F^-1((i - 1/2)/n): every gap is near 1/(2n), so the cells
+        compete to within rounding and only the bound decides what is pruned."""
+        p, b = InvGammaParams(alpha, 1.0), BaseConfig(base)
+        trunc = certified_cutoff(alpha, b, 1e-8)
+        z = np.linspace(0.0, 1.0, 200_001)
+        n = 20_000
+        frac = np.interp((np.arange(n) + 0.5) / n, fb_cdf_series_values(z, p, b, trunc), z)
+        batch = SampleBatch(values=float(base) ** frac, seed=0, params=p)
+        assert ks_distance(batch, b, p, trunc).hex() == _ks_brute(batch, b, p, trunc).hex()
+
+    def test_bit_identical_with_cutoff_two(self):
+        """A slack near the statistic keeps many more blocks than the certified
+        cutoff does."""
+        p, b = InvGammaParams(0.3, 2.0), BaseConfig(16)
+        batch = sample_invgamma(p, 20000, 4)
+        trunc = TruncationSpec(1e-8, cutoff_m=2)
+        assert ks_distance(batch, b, p, trunc).hex() == _ks_brute(batch, b, p, trunc).hex()
+
     def test_model_samples_are_close(self):
         p = InvGammaParams(5.0, 4.0)
         trunc = truncation_cutoff(p, B10, 1e-8)

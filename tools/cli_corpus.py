@@ -76,6 +76,11 @@ def corpus():
         runs.append(["verify", "--alpha", "0.5", "--beta", "2", "--samples", "20000",
                      "--seed", seed])
     runs.append(["verify", "--alpha", "5", "--beta", "3.3", "--base", "16", "--format", "csv"])
+    # benchmark-sized KS checks, a large cutoff, and a one-sample batch
+    for alpha, beta, base in (("0.7", "4.2", "3"), ("12", "1.9", "16"), ("300", "2.5", "10")):
+        runs.append(["verify", "--alpha", alpha, "--beta", beta, "--base", base,
+                     "--samples", "250000", "--seed", "11"])
+    runs.append(["verify", "--alpha", "2", "--beta", "3", "--samples", "1", "--seed", "5"])
     runs.append(["verify", "--alpha", "1e-4", "--beta", "1"])
     runs.append(["verify", "--alpha", "0.05", "--beta", "1e300"])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "2000", "--seed", "3"])
