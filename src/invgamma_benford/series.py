@@ -40,7 +40,6 @@ BLAS, no complex arrays), so a value never depends on the row it was
 computed in or on the thread count.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ from .benford import (
     decompose_significand,
     log_mod_1,
 )
-from .special import complex_log_gamma, regularized_upper_gamma
+from .special import _log_gamma_ratio, regularized_upper_gamma
 
 __all__ = [
     "InvGammaParams",
@@ -115,10 +114,10 @@ class SeriesEvaluation:
     The truncation error, the series value minus value, is at most
     residual_bound in absolute value; floating-point rounding of the
     summed terms comes on top.  Measured against 40-digit sums of the
-    same series, that rounding stays within 4e-16 for F up to alpha = 3000
-    and reaches about 1e-13 for F' at alpha = 3000 (measured at the paper's
-    cutoff 3002, which no evaluation path uses any more); no bound
-    is reported for it yet (ROADMAP item 3).
+    same series at the certified cutoffs for epsilon 1e-12 in bases 2, 10
+    and 36, that rounding stays within 1.5e-15 for F up to alpha = 1e5 and
+    reaches 4e-14 for F' at alpha = 3000 and 6e-13 at alpha = 1e5; no
+    bound is reported for it yet (ROADMAP item 3).
     """
 
     value: float
@@ -282,15 +281,11 @@ def cutoff_alpha1(base: BaseConfig, epsilon) -> int:
 def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndarray:
     """r_k = Gamma(alpha + 2 pi i k / ln B)/Gamma(alpha), k = 1..cutoff_m - 1.
 
-    Ratios are formed in log space so large alpha never overflows.  Entry
-    k does not depend on cutoff_m, so table[:m - 1] is, bit for bit, the
+    One log-ratio over every k, so no absolute log-gamma cancels.  Entry k
+    does not depend on cutoff_m, so table[:m - 1] is, bit for bit, the
     table for any smaller cutoff m.
     """
-    lb, lg = base.log_base, math.lgamma(alpha)
-    table = np.empty(cutoff_m - 1, dtype=complex)
-    for k in range(1, cutoff_m):
-        table[k - 1] = cmath.exp(complex_log_gamma(complex(alpha, _TWO_PI * k / lb)) - lg)
-    return table
+    return np.exp(_log_gamma_ratio(alpha, _TWO_PI * np.arange(1.0, cutoff_m) / base.log_base))
 
 
 def _unit_points(zs):

@@ -1,27 +1,31 @@
-"""Gamma-function building blocks: complex log-gamma and the regularized
-upper incomplete gamma function.
+"""Gamma-function building blocks: the log-gamma ratio behind the series
+coefficients, complex log-gamma and the regularized upper incomplete gamma
+function.
 
-Both routines are scalar, pure, and stateless, so they are safe to call
-concurrently without synchronization.  Accuracy targets (validated by the
-test suite):
+All routines are pure and stateless, so they are safe to call concurrently
+without synchronization.  Accuracy targets (validated by the test suite):
 
+* ``_log_gamma_ratio``, over an array of y at once, gives r_1..r_7 of the
+  series to 1e-13 of the largest of them for alpha up to 1e5.
 * ``exp(complex_log_gamma(w))`` reproduces Gamma(w) to at least 12
   significant digits for Re w in [0.05, 200], |Im w| <= 500.
 * ``regularized_upper_gamma`` is accurate to ~1e-13 relative over
   shape parameters in [0.05, 200].
 """
 
-import cmath
 import math
+
+import numpy as np
 
 __all__ = ["complex_log_gamma", "regularized_upper_gamma"]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy of
-# the rational part is ~1e-15 on Re z >= 1.5; smaller real parts are lifted
-# into that region with the recurrence log Gamma(w) = log Gamma(w+1) - log w.
+# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
+# ~1e-15 near the real axis on Re z >= 1.5 (about 2e-13 at |Im z| = 60);
+# smaller real parts are lifted into that region with the recurrence
+# log Gamma(w) = log Gamma(w+1) - log w.
 _LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
+_LANCZOS_C0 = 0.99999999999980993
+_LANCZOS_COEF = np.array([
     676.5203681218851,
     -1259.1392167224028,
     771.32342877765313,
@@ -30,21 +34,55 @@ _LANCZOS_COEF = (
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
-)
-_LOG_SQRT_TWO_PI = 0.9189385332046727
+])
+_LANCZOS_K = np.arange(1.0, 9.0)
 _SHIFT_BELOW = 1.5
 # exp() underflows to 0.0 below this; used to short-circuit spent tails.
 _EXP_UNDERFLOW = -745.0
 
 
-def _lanczos_log_gamma(w: complex) -> complex:
-    """Lanczos evaluation; caller guarantees Re w >= _SHIFT_BELOW, Im w >= 0."""
-    z = w - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (z + 0.5) * cmath.log(t) - t + cmath.log(acc)
+def _lanczos_sum(z):
+    """S(z) = c_0 + sum_{k=1}^8 c_k / (z + k), for a scalar or an array z."""
+    return _LANCZOS_C0 + (_LANCZOS_COEF / (np.expand_dims(z, -1) + _LANCZOS_K)).sum(axis=-1)
+
+
+def _log1p_i(y, c: float):
+    """Real and imaginary parts of log(1 + i y / c) for c > 0; with s =
+    min(|y|, c) / max(|y|, c), neither y / c nor its square can overflow."""
+    big = np.maximum(np.abs(y), c)
+    s = np.minimum(np.abs(y), c) / big
+    return np.log(big) - math.log(c) + 0.5 * np.log1p(s * s), np.arctan2(y, c)
+
+
+def _log_gamma_ratio(alpha: float, y):
+    """log Gamma(alpha + i y) - log Gamma(alpha) for alpha > 0 and real y,
+    elementwise over an array of y, formed so that nothing cancels.
+
+    Lift: with a = alpha + n >= 1.5, the recurrence gives
+        log r(alpha, y) = log r(a, y) - sum_{j<n} log(1 + i y / (alpha + j)).
+    Lanczos difference: with t = a + g - 1/2, the Lanczos forms of
+    log Gamma at a + i y and at a differ by
+        (a - 1/2) log(1 + i y / t) + i y (log(t + i y) - 1)
+        + log(S(a - 1 + i y) / S(a - 1)),
+    where log(t + i y) = log t + log(1 + i y / t).  Every term is small
+    where r is near 1, so the result keeps its relative accuracy up to
+    alpha = 1e5, where the two absolute log-gammas are near 1e6.  Real and
+    imaginary parts are kept apart until the end, so an infinite or huge
+    part never meets a zero inside a complex product.
+    """
+    y = np.asarray(y, dtype=float)
+    a, re, im = alpha, 0.0, 0.0
+    while a < _SHIFT_BELOW:
+        l_re, l_im = _log1p_i(y, a)
+        re, im, a = re - l_re, im - l_im, a + 1.0
+    t = a + _LANCZOS_G - 0.5
+    l_re, l_im = _log1p_i(y, t)
+    s = np.log(_lanczos_sum((a - 1.0) + 1j * y) / _lanczos_sum(a - 1.0))
+    re += (a - 0.5) * l_re - y * l_im + s.real
+    im += (a - 0.5) * l_im + y * (math.log(t) - 1.0 + l_re) + s.imag
+    out = np.array(re, dtype=complex)
+    out.imag = im
+    return out
 
 
 def complex_log_gamma(w: complex) -> complex:
@@ -64,11 +102,7 @@ def complex_log_gamma(w: complex) -> complex:
         raise ValueError(f"complex_log_gamma requires Re w > 0, got {w!r}")
     if w.imag < 0.0:
         return complex_log_gamma(w.conjugate()).conjugate()
-    shift = 0j
-    while w.real < _SHIFT_BELOW:
-        shift += cmath.log(w)
-        w += 1.0
-    return _lanczos_log_gamma(w) - shift
+    return math.lgamma(w.real) + complex(_log_gamma_ratio(w.real, w.imag))
 
 
 def _lower_series(alpha: float, x: float, tol: float) -> float:

@@ -188,16 +188,15 @@ class TestDeviationGrid:
         import invgamma_benford.series as series_mod
 
         base, eps = BaseConfig(16), 1e-10
-        real, calls = series_mod.complex_log_gamma, []
+        real, calls = series_mod._gamma_ratio_table, []
 
-        def counting(z):
-            calls.append(z)
-            return real(z)
+        def counting(alpha, base, cutoff_m):
+            calls.append((alpha, cutoff_m))
+            return real(alpha, base, cutoff_m)
 
-        monkeypatch.setattr(series_mod, "complex_log_gamma", counting)
+        monkeypatch.setattr(series_mod, "_gamma_ratio_table", counting)
         grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
-        expected = sum(certified_cutoff(a, base, eps).cutoff_m - 1 for a in grid.alpha_values)
-        assert len(calls) == expected
+        assert calls == [(a, certified_cutoff(a, base, eps).cutoff_m) for a in grid.alpha_values]
 
     @pytest.mark.parametrize("alpha, base_int, m_big", [(0.02, 3, 9), (1.7, 10, 30),
                                                         (40.0, 36, 60)])

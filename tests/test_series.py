@@ -31,6 +31,7 @@ from invgamma_benford.series import (
     truncation_cutoff,
 )
 from invgamma_benford.special import complex_log_gamma
+import mp_reference
 
 B10 = BaseConfig(10)
 
@@ -402,6 +403,22 @@ class TestCdfSeries:
                     exact = mpmath.mpf(z) + 2 * total.real
                     assert abs(value - float(exact)) <= 1e-14, (base_int, z)
 
+    @pytest.mark.parametrize("base_int, alpha", [(10, 3e3), (10, 1e4), (10, 1e5), (2, 1e4),
+                                                 (36, 1e4), (2, 1e5), (36, 1e5), (10, 1e-6),
+                                                 (10, 0.05)])
+    def test_certificate_against_mpmath(self, base_int, alpha):
+        """At epsilon 1e-12, F_B is within its residual bound of a 40-digit
+        sum of the whole series, out to alpha = 1e5."""
+        base = BaseConfig(base_int)
+        trunc = certified_cutoff(alpha, base, 1e-12)
+        zs = np.linspace(0.0, 1.0, 9)
+        betas = (1.0, 3.3, 7.7)
+        for beta, ref in zip(betas, mp_reference.cdf(alpha, base_int, betas, zs)):
+            p = InvGammaParams(alpha, beta)
+            got = fb_cdf_series_values(zs, p, base, trunc)
+            residual = fb_cdf_series(0.0, p, base, trunc).residual_bound
+            assert float(np.max(np.abs(got - ref))) <= residual, beta
+
     @pytest.mark.parametrize("base_int", [3, 16])
     def test_other_bases_match_oracle(self, base_int):
         cfg = BaseConfig(base_int)
@@ -454,6 +471,25 @@ class TestCdfSeries:
             fb_cdf_series(-0.1, p, B10, trunc)
         with pytest.raises(ValueError):
             fb_cdf_series(1.1, p, B10, trunc)
+
+
+class TestGammaRatioTable:
+    @pytest.mark.parametrize("base_int", [2, 10, 36])
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.05, 1.49, 1.5, 50.0, 3e3, 1e4, 1e5])
+    def test_first_entries_against_mpmath(self, alpha, base_int):
+        """r_1..r_7 against 40-digit log-gamma differences at the same y_k.
+
+        The error is taken relative to the largest entry, the scale a sum
+        over the table sees.  Entry by entry, the tiny late coefficients at
+        small alpha carry the ~2e-13 error of the 9-term Lanczos form near
+        Im w = 60, and in base 2 a phase of ~500 rad is 1e-13 per ulp.
+        """
+        base = BaseConfig(base_int)
+        table = _gamma_ratio_table(alpha, base, 8)
+        ys = 2.0 * math.pi * np.arange(1.0, 8.0) / base.log_base
+        with mpmath.workdps(40):
+            ref = np.array([complex(mp_reference.gamma_ratio(alpha, float(y))) for y in ys])
+        assert float(np.max(np.abs(table - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 def test_truncation_spec_validation():

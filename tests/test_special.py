@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -56,6 +57,16 @@ class TestComplexLogGamma:
         # 12+ significant digits of Gamma means ~1e-12 absolute in log space
         delta = complex_log_gamma(w) - scipy_loggamma(w)
         assert abs(delta) <= 1e-12
+
+    @pytest.mark.parametrize("w", [1e-200 + 1j, 1 + 1e200j, 0.3 + 1e160j, 1e-300 + 1e-300j])
+    def test_extremes_stay_finite_and_accurate(self, w):
+        # a huge y / Re w or (y / Re w)^2 must not overflow, nor an infinite
+        # part meet a zero inside a complex product
+        got = complex_log_gamma(w)
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpc(w.real, w.imag))
+            assert abs(mpmath.mpc(got) - ref) <= 1e-12 * abs(ref)
 
     def test_conjugate_symmetry_is_bitwise(self):
         rng = np.random.default_rng(99)

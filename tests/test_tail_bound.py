@@ -21,6 +21,7 @@ from invgamma_benford.series import (
     fb_prime_series_values,
     truncation_cutoff,
 )
+from mp_reference import gamma_ratio
 
 CUTOFFS = (1, 2, 5, 20)
 
@@ -34,14 +35,12 @@ def coefficient_tails(alpha, base, ms):
     """
     with mpmath.workdps(30):
         lb = mpmath.log(base)
-        a = mpmath.mpf(alpha)
-        lg = mpmath.loggamma(a)
         terms = []
         total = mpmath.mpf(0)
         k = 1
         while True:
             stride = 1 if k < 1000 else 64
-            t = stride * mpmath.exp(mpmath.re(mpmath.loggamma(mpmath.mpc(a, 2 * mpmath.pi * k / lb))) - lg)
+            t = stride * abs(gamma_ratio(alpha, 2 * mpmath.pi * k / lb))
             terms.append(t)
             total += t
             k += stride
