@@ -28,9 +28,9 @@ from .series import (
     InvGammaParams,
     SeriesEvaluation,
     TruncationSpec,
+    certified_cutoff,
     fb_cdf_series,
     fb_cdf_series_values,
-    truncation_cutoff,
 )
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "SeriesEvaluation",
     "DeviationReport",
     "DeviationGrid",
-    "truncation_cutoff",
+    "certified_cutoff",
     "fb_cdf_series",
     "fb_cdf_series_values",
     "max_deviation",

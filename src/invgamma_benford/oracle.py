@@ -4,8 +4,8 @@ The first channel sums the defining probability identity directly,
 F_B(z) = sum_k [Q(a, beta/B^(z+k)) - Q(a, beta/B^k)], over a window
 k in [-K, K] wide enough that both tails underflow.  The second channel
 draws reproducible inverse gamma samples and compares empirical
-distributions.  Neither touches the gamma-coefficient series, so either
-can arbitrate its correctness.
+distributions.  Neither the sum nor the sampler uses the gamma-coefficient
+series, so either can arbitrate it; ks_distance measures samples against it.
 """
 
 import math

@@ -35,9 +35,11 @@ is the gamma_n analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 5).  w - 1 is formed from sin(pi z), so it is exactly 0
 at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  A deviation
 sweep evaluates an alpha row in one call, from one table at the row's one
-cutoff.  Only elementwise operations on real float64 arrays are used (no
-BLAS, no complex arrays), so a value never depends on the row it was
-computed in or on the thread count.
+cutoff.  The table is built with complex numpy operations; from there on
+every complex value is one real float64 array of shape (2, ...), real
+parts first, and a Horner step is four elementwise calls (no BLAS, no
+complex multiply), so a value never depends on the row it was computed
+in or on the thread count.
 """
 
 import math
@@ -172,22 +174,6 @@ def _cdf_residual(alpha: float, base: BaseConfig, m: int) -> float:
     return 2.0 * _tail_bound(alpha, base, m) / (math.pi * m)
 
 
-def _least_cutoff(alpha: float, base: BaseConfig, eps: float, m: int) -> int:
-    """Least M >= m with _cdf_residual(alpha, base, M) <= eps.  The bound
-    decreases in M: double from m until it is met, then bisect between the
-    last miss (lo, at first the floor m - 1) and the first hit (m)."""
-    lo = m - 1
-    while _cdf_residual(alpha, base, m) > eps:
-        lo, m = m, 2 * m
-    while m - lo > 1:
-        mid = (lo + m) // 2
-        if _cdf_residual(alpha, base, mid) > eps:
-            lo = mid
-        else:
-            m = mid
-    return m
-
-
 def certified_cutoff(alpha, base: BaseConfig, epsilon) -> TruncationSpec:
     """The smallest cutoff M whose certified CDF truncation error 2 S / (pi M)
     is at most epsilon (S from DLMF 5.8.3, see _tail_bound).
@@ -200,7 +186,18 @@ def certified_cutoff(alpha, base: BaseConfig, epsilon) -> TruncationSpec:
     """
     a = _as_positive_finite(alpha, "alpha")
     eps = _as_epsilon(epsilon)
-    return TruncationSpec(epsilon=eps, cutoff_m=_least_cutoff(a, base, eps, 1))
+    # the bound decreases in M: double M until it is met, then bisect between
+    # the last miss (lo) and the first hit (m)
+    lo, m = 0, 1
+    while _cdf_residual(a, base, m) > eps:
+        lo, m = m, 2 * m
+    while m - lo > 1:
+        mid = (lo + m) // 2
+        if _cdf_residual(a, base, mid) > eps:
+            lo = mid
+        else:
+            m = mid
+    return TruncationSpec(epsilon=eps, cutoff_m=m)
 
 
 def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> TruncationSpec:
@@ -211,8 +208,9 @@ def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> Trun
     max(alpha + 1, -log_B(eps * Gamma(alpha) / (2 * B^alpha * beta))) with
     beta first canonicalized into [1, B).  Where that M leaves the bound
     2 S / (pi M) of the dropped terms above epsilon, M is raised to the
-    least value that meets it.  Kept as the paper's reproduction: every
-    evaluation path uses the smaller certified_cutoff.
+    least value that meets it: the bound decreases in M, so that value is
+    certified_cutoff's.  Kept as the paper's reproduction: every evaluation
+    path uses the smaller certified_cutoff.
 
     Raises:
         ValueError: for epsilon outside (0, 1), non-finite included.
@@ -222,7 +220,7 @@ def truncation_cutoff(params: InvGammaParams, base: BaseConfig, epsilon) -> Trun
     a, lb = canonical.alpha, base.log_base
     t = -(math.log(eps) + math.lgamma(a) - _LOG2 - a * lb - math.log(canonical.beta)) / lb
     m = math.floor(max(a + 1.0, t)) + 1
-    return TruncationSpec(epsilon=eps, cutoff_m=_least_cutoff(a, base, eps, m))
+    return TruncationSpec(epsilon=eps, cutoff_m=max(m, certified_cutoff(a, base, eps).cutoff_m))
 
 
 def tail_bound_general(params: InvGammaParams, base: BaseConfig, m, z=None) -> float:
@@ -289,53 +287,53 @@ def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndar
 
 
 def _unit_points(zs):
-    """w = e^{2 pi i z} and w - 1 at every z, each as real and imaginary arrays.
+    """w = e^{2 pi i z} and v = w - 1 at every z, each of shape (2, points):
+    real parts in row 0, imaginary parts in row 1.
 
     w - 1 = 2 sin(pi r) (-sin(pi r) + i cos(pi r)) with r = z minus its
     nearest integer, so it is exactly 0 at z = 0 and z = 1.
     """
     z = np.asarray(zs, dtype=float).ravel()
     half = math.pi * (z - np.round(z))
-    s, c = np.sin(half), np.cos(half)
-    v_re, v_im = -2.0 * s * s, 2.0 * s * c
-    return 1.0 + v_re, v_im, v_re, v_im
+    s = np.sin(half)
+    v = 2.0 * s * np.stack((-s, np.cos(half)))
+    w = v.copy()
+    w[0] += 1.0
+    return w, v
 
 
 def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
-    """a_k = r_k e^{-2 pi i k theta_j} for k = 1..cutoff_m - 1, one column per
-    phase theta_j, as real and imaginary arrays."""
+    """k and a_k = r_k e^{-2 pi i k theta_j} for k = 1..cutoff_m - 1, one column
+    per phase theta_j; a has shape (terms, 2, columns), real parts first."""
     table = _gamma_ratio_table(alpha, base, cutoff_m)
-    k = np.arange(1.0, len(table) + 1.0)[:, None]
+    k = np.arange(1.0, len(table) + 1.0)[:, None, None]
     u = k * np.asarray(thetas, dtype=float)
     phase = _TWO_PI * (u - np.round(u))
-    cos, sin = np.cos(phase), np.sin(phase)
-    r_re, r_im = table.real[:, None], table.imag[:, None]
-    return k, r_re * cos + r_im * sin, r_im * cos - r_re * sin
+    sin = np.sin(phase)
+    r = np.stack((table.real, table.imag), axis=1)[:, :, None]
+    # (r_re cos + r_im sin, r_im cos - r_re sin)
+    return k, r * np.cos(phase) + r[:, ::-1] * np.concatenate((sin, -sin), axis=1)
 
 
-def _horner(w_re, w_im, c_re, c_im):
+def _horner(w, c):
     """sum_j c[j] w^j by Horner's rule, for every column of c at every point w.
 
-    c_re and c_im have shape (terms, columns), w_re and w_im shape (points,);
-    the real and imaginary parts returned have shape (columns, points).  The
-    recurrence uses real float64 arrays and elementwise operations only, so a
-    value is the same IEEE operations whatever else the block holds.
+    c has shape (terms, 2, columns) and w shape (2, points), real parts
+    first; the result has shape (2, columns, points).  Each step
+    p <- p w + c[j] is four elementwise calls on real float64 arrays, so a
+    value is the same IEEE operations whatever else the block holds:
+    p_re w_re - p_im w_im + c_re[j] and p_im w_re + p_re w_im + c_im[j].
     """
-    shape = (c_re.shape[1], w_re.size)
-    p_re, p_im = np.zeros(shape), np.zeros(shape)
-    t, u = np.empty(shape), np.empty(shape)
-    c_re, c_im = c_re[:, :, None], c_im[:, :, None]
-    for j in range(len(c_re) - 1, -1, -1):
-        # p = p * w + c[j]
-        np.multiply(p_re, w_re, out=t)
-        np.multiply(p_im, w_im, out=u)
-        np.subtract(t, u, out=t)
-        np.multiply(p_re, w_im, out=u)
-        np.multiply(p_im, w_re, out=p_im)
-        np.add(u, p_im, out=p_im)
-        np.add(p_im, c_im[j], out=p_im)
-        np.add(t, c_re[j], out=p_re)
-    return p_re, p_im
+    shape = (2, c.shape[2], w.shape[1])
+    p, t = np.zeros(shape), np.empty(shape)
+    w_re, turn = w[0], np.stack((-w[1], w[1]))[:, None]
+    c = c[..., None]
+    for j in range(len(c) - 1, -1, -1):
+        np.multiply(p[::-1], turn, out=t)
+        np.multiply(p, w_re, out=p)
+        np.add(p, t, out=p)
+        np.add(p, c[j], out=p)
+    return p
 
 
 def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.ndarray:
@@ -347,22 +345,21 @@ def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.n
     Returns an array of shape (len(thetas),) + zs.shape.
     """
     shape = np.shape(zs)
-    k, a_re, a_im = _phase_coefficients(alpha, base, thetas, cutoff_m)
-    two_pi_k = _TWO_PI * k
-    d_re = np.cumsum((a_im / two_pi_k)[::-1], axis=0)[::-1]
-    d_im = np.cumsum((-a_re / two_pi_k)[::-1], axis=0)[::-1]
-    w_re, w_im, v_re, v_im = _unit_points(zs)
-    p_re, p_im = _horner(w_re, w_im, d_re, d_im)
-    values = np.ravel(zs) + 2.0 * (v_re * p_re - v_im * p_im)
+    k, a = _phase_coefficients(alpha, base, thetas, cutoff_m)
+    c = a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
+    d = np.cumsum(c[::-1], axis=0)[::-1]
+    w, v = _unit_points(zs)
+    p = _horner(w, d)
+    values = np.ravel(zs) + 2.0 * (v[0] * p[0] - v[1] * p[1])
     return values.reshape((len(thetas),) + shape)
 
 
 def _prime_row(zs, alpha: float, theta: float, cutoff_m: int, base: BaseConfig) -> np.ndarray:
     """F_B'(z) = 1 + 2 Re[w sum_k a_k w^{k-1}] at zs, of the shape of zs."""
-    _, a_re, a_im = _phase_coefficients(alpha, base, [theta], cutoff_m)
-    w_re, w_im, _, _ = _unit_points(zs)
-    p_re, p_im = _horner(w_re, w_im, a_re, a_im)
-    values = 1.0 + 2.0 * (w_re * p_re[0] - w_im * p_im[0])
+    _, a = _phase_coefficients(alpha, base, [theta], cutoff_m)
+    w, _ = _unit_points(zs)
+    p = _horner(w, a)
+    values = 1.0 + 2.0 * (w[0] * p[0, 0] - w[1] * p[1, 0])
     return values.reshape(np.shape(zs))
 
 

@@ -14,7 +14,7 @@ CORE = [
     "SeriesEvaluation",
     "DeviationReport",
     "DeviationGrid",
-    "truncation_cutoff",
+    "certified_cutoff",
     "fb_cdf_series",
     "fb_cdf_series_values",
     "max_deviation",
@@ -30,7 +30,7 @@ MODULE_ONLY = {
     "special": ["complex_log_gamma", "regularized_upper_gamma"],
     "benford": ["SignificandDecomposition", "decompose_significand", "log_mod_1",
                 "log_mod_1_array", "benford_digit_prob"],
-    "series": ["canonicalize_beta", "certified_cutoff", "tail_bound_general", "tail_bound_alpha1",
+    "series": ["canonicalize_beta", "truncation_cutoff", "tail_bound_general", "tail_bound_alpha1",
                "cutoff_alpha1", "fb_prime_series", "fb_prime_series_values"],
     "oracle": ["OracleConfig", "SampleBatch", "OracleTailWarning", "oracle_window"],
     "analysis": ["DeviationGridError"],

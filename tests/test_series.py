@@ -18,6 +18,7 @@ from invgamma_benford.series import (
     TruncationSpec,
     _cdf_residual,
     _gamma_ratio_table,
+    _horner,
     _tail_bound,
     canonicalize_beta,
     certified_cutoff,
@@ -177,6 +178,50 @@ class TestCertifiedCutoff:
         for eps in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="epsilon"):
                 certified_cutoff(1.0, B10, eps)
+
+    @pytest.mark.parametrize("base_int", [2, 10, 36, 2 ** 53])
+    def test_one_search_serves_the_paper_rule(self, base_int):
+        """truncation_cutoff is the paper's start raised to certified_cutoff, which
+        is the least M >= start meeting epsilon because the bound never rises in M."""
+        base = BaseConfig(base_int)
+        lb = base.log_base
+        for alpha in np.logspace(-6, 5, 12):
+            residuals = [_cdf_residual(alpha, base, m) for m in range(1, 3001)]
+            assert all(a >= b for a, b in zip(residuals, residuals[1:])), alpha
+            for eps in (0.5, 1e-3, 1e-8, 1e-12, 1e-15):
+                m = certified_cutoff(alpha, base, eps).cutoff_m
+                for beta in (5e-324, 1.0, 9.99, 1e300):
+                    p = InvGammaParams(alpha, beta)
+                    canonical, _ = canonicalize_beta(p, base)
+                    t = -(math.log(eps) + math.lgamma(alpha) - math.log(2.0) - alpha * lb
+                          - math.log(canonical.beta)) / lb
+                    start = math.floor(max(alpha + 1.0, t)) + 1
+                    got = truncation_cutoff(p, base, eps).cutoff_m
+                    assert got == max(start, m)
+                    assert _cdf_residual(alpha, base, got) <= eps
+                    assert got == start or _cdf_residual(alpha, base, got - 1) > eps
+
+
+class TestHorner:
+    @pytest.mark.parametrize("terms", [1, 2, 9])
+    def test_step_is_the_real_recurrence_bit_for_bit(self, terms):
+        """Every step is p <- (p_re w_re - p_im w_im + c_re, p_re w_im + p_im w_re + c_im)
+        in float64.  The bitwise row and scalar equalities rest on it; a complex128
+        multiply may round differently (numpy's does on CPUs where it fuses)."""
+        rng = np.random.default_rng(terms)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 7)
+        w = np.stack((np.cos(phi), np.sin(phi)))
+        c = rng.standard_normal((terms, 2, 3))
+        p = _horner(w, c)
+        assert p.shape == (2, 3, 7)
+        for col in range(3):
+            for i in range(7):
+                w_re, w_im = float(w[0, i]), float(w[1, i])
+                p_re = p_im = 0.0
+                for j in range(terms - 1, -1, -1):
+                    p_re, p_im = (p_re * w_re - p_im * w_im + float(c[j, 0, col]),
+                                  p_re * w_im + p_im * w_re + float(c[j, 1, col]))
+                assert p[:, col, i].tobytes() == np.array([p_re, p_im]).tobytes(), (col, i)
 
 
 class TestTailBounds:
@@ -390,18 +435,9 @@ class TestCdfSeries:
             trunc = truncation_cutoff(p, base, 1e-12)
             got = fb_cdf_series_values(zs, p, base, trunc)
             table = _gamma_ratio_table(alpha, base, trunc.cutoff_m)
-            with mpmath.workdps(40):
-                theta = mpmath.mpf(log_mod_1(p.beta, base))
-                coefs = [mpmath.mpc(complex(r)) * mpmath.expjpi(-2 * k * theta)
-                         / (2j * mpmath.pi * k) for k, r in enumerate(table, 1)]
-                for z, value in zip(zs, got):
-                    w = mpmath.expjpi(2 * mpmath.mpf(z))
-                    total, w_k = mpmath.mpc(0), mpmath.mpc(1)
-                    for c in coefs:
-                        w_k *= w
-                        total += c * (w_k - 1)
-                    exact = mpmath.mpf(z) + 2 * total.real
-                    assert abs(value - float(exact)) <= 1e-14, (base_int, z)
+            exact = mp_reference.series_sum(table, log_mod_1(p.beta, base), zs)
+            for z, value, ref in zip(zs, got, exact):
+                assert abs(value - ref) <= 1e-14, (base_int, z)
 
     @pytest.mark.parametrize("base_int, alpha", [(10, 3e3), (10, 1e4), (10, 1e5), (2, 1e4),
                                                  (36, 1e4), (2, 1e5), (36, 1e5), (10, 1e-6),

@@ -87,6 +87,14 @@ def corpus():
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--n", "200", "--seed", "3",
                  "--format", "json"])
     runs.append(_grid("10", ("2", "1", "3"), ("1", "2", "3")))
+    # long cutoffs, M = 76 to 1233
+    runs.append(["deviation", "--alpha", "3000", "--beta", "2.5", "--epsilon", "1e-8"])
+    runs.append(["deviation", "--alpha", "1e5", "--beta", "1", "--epsilon", "1e-8"])
+    runs.append(["deviation", "--alpha", "1e4", "--beta", "7", "--base", "2", "--epsilon", "1e-12"])
+    runs.append(["cdf", "--alpha", "1e5", "--beta", "3", "--base", "36", "--epsilon", "1e-12",
+                 "--points", "101", "--format", "json"])
+    runs.append(_grid("10", ("1000", "3000", "3"), ("1", "9.99", "5"), "--epsilon", "1e-8",
+                      "--format", "json"))
     # scales at the ends of the double range, where beta is scaled into [1, B)
     for beta, base in (("5e-324", "10"), ("1.7976931348623157e308", "10"),
                        ("9.999999999999999e-293", "10"), ("1e-291", "1000")):
