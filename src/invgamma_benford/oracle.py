@@ -19,9 +19,10 @@ from .benford import (
     _as_int,
     _as_unit_interval,
     decompose_significand,
+    log_mod_1,
     log_mod_1_array,
 )
-from .series import InvGammaParams, TruncationSpec, _cdf_residual, fb_cdf_series_values
+from .series import InvGammaParams, TruncationSpec, _cdf_residual, _cdf_tails, _cdf_values
 from .special import regularized_upper_gamma
 
 __all__ = [
@@ -218,14 +219,16 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     reaches the lower bound is then evaluated.  Blocks of sorted samples
     keep the rise of F across a block near _KS_BLOCK/n at every alpha,
     where a uniform grid in z prunes almost nothing once the law is
-    concentrated (alpha in the thousands).  The series is computed
-    elementwise, so every value, and the returned statistic, is the one
-    that evaluating F at all n samples gives, bit for bit.
+    concentrated (alpha in the thousands).  One coefficient table serves
+    both passes, and the series is computed elementwise, so every value,
+    and the returned statistic, is the one that evaluating F at all n
+    samples gives, bit for bit.
     """
     frac = np.sort(log_mod_1_array(batch.values, base))
     n = frac.size
+    d, _ = _cdf_tails(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
     ends = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
-    f_ends = fb_cdf_series_values(frac[ends], params, base, trunc)
+    f_ends = _cdf_values(frac[ends], d)[0]
     best = _largest_gap(ends, f_ends, n)
     # The truncated F falls below monotone by at most twice its truncation
     # error.  The floor covers the rounding of F and of the gaps, and the
@@ -236,7 +239,7 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     hi = np.minimum(lo + _KS_BLOCK, n)
     upper = np.maximum(hi / n - f_ends[:-1], f_ends[1:] - lo / n) + slack
     idx = np.flatnonzero(np.repeat(upper >= best, hi - lo))
-    return max(best, _largest_gap(idx, fb_cdf_series_values(frac[idx], params, base, trunc), n))
+    return max(best, _largest_gap(idx, _cdf_values(frac[idx], d)[0], n))
 
 
 def _largest_gap(idx, model, n: int) -> float:

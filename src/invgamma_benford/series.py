@@ -33,13 +33,14 @@ e^{-2 pi i k t}, c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
 and one routine, _horner, evaluates both by Horner's rule (its rounding
 is the gamma_n analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 5).  w - 1 is formed from sin(pi z), so it is exactly 0
-at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  A deviation
-sweep evaluates an alpha row in one call, from one table at the row's one
-cutoff.  The table is built with complex numpy operations; from there on
-every complex value is one real float64 array of shape (2, ...), real
-parts first, and a Horner step is four elementwise calls (no BLAS, no
-complex multiply), so a value never depends on the row it was computed
-in or on the thread count.
+at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  The tail
+sums of a row of phases are built once, from one table at the row's one
+cutoff (_cdf_tails), and evaluated on as many point sets as the caller
+needs, in the layouts it forms (_cdf_points).  The table is built with
+complex numpy operations; from there on every complex value is one real
+float64 array of shape (2, ...), real parts first, and a Horner step is
+four elementwise calls (no BLAS, no complex multiply), so a value never
+depends on the layout or row it was computed in or on the thread count.
 """
 
 import math
@@ -302,10 +303,9 @@ def _unit_points(zs):
     return w, v
 
 
-def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
-    """k and a_k = r_k e^{-2 pi i k theta_j} for k = 1..cutoff_m - 1, one column
-    per phase theta_j; a has shape (terms, 2, columns), real parts first."""
-    table = _gamma_ratio_table(alpha, base, cutoff_m)
+def _phase_coefficients(table: np.ndarray, thetas):
+    """k and a_k = r_k e^{-2 pi i k theta_j} for the table's k = 1..M - 1, one
+    column per phase theta_j; a has shape (terms, 2, columns), real parts first."""
     k = np.arange(1.0, len(table) + 1.0)[:, None, None]
     u = k * np.asarray(thetas, dtype=float)
     phase = _TWO_PI * (u - np.round(u))
@@ -316,18 +316,19 @@ def _phase_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
 
 
 def _horner(w, c):
-    """sum_j c[j] w^j by Horner's rule, for every column of c at every point w.
+    """sum_j c[j] w^j by Horner's rule, in the layouts the caller forms.
 
-    c has shape (terms, 2, columns) and w shape (2, points), real parts
-    first; the result has shape (2, columns, points).  Each step
-    p <- p w + c[j] is four elementwise calls on real float64 arrays, so a
-    value is the same IEEE operations whatever else the block holds:
+    c has shape (terms, 2, ...) and w shape (2, ...), real parts first,
+    with trailing axes that broadcast together: (terms, 2, columns, 1)
+    against (2, 1, points) evaluates every column at every point.  The
+    result has shape (2,) + the broadcast shape.  Each step p <- p w + c[j]
+    is four elementwise calls on real float64 arrays, so a value is the
+    same IEEE operations whatever else the block holds:
     p_re w_re - p_im w_im + c_re[j] and p_im w_re + p_re w_im + c_im[j].
     """
-    shape = (2, c.shape[2], w.shape[1])
+    shape = (2,) + np.broadcast_shapes(c.shape[2:], w.shape[1:])
     p, t = np.zeros(shape), np.empty(shape)
-    w_re, turn = w[0], np.stack((-w[1], w[1]))[:, None]
-    c = c[..., None]
+    w_re, turn = w[0], np.stack((-w[1], w[1]))
     for j in range(len(c) - 1, -1, -1):
         np.multiply(p[::-1], turn, out=t)
         np.multiply(p, w_re, out=p)
@@ -336,30 +337,51 @@ def _horner(w, c):
     return p
 
 
+def _cdf_tails(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
+    """The CDF's tail sums d_j = sum_{k>j} c_k, c_k = a_k / (2 pi i k), for one
+    alpha and a row of phases theta_j, from one table: shape (terms, 2,
+    columns).  Also returns L = 2 sum_k |r_k|, which bounds |F' - 1| for
+    every phase of the row."""
+    table = _gamma_ratio_table(alpha, base, cutoff_m)
+    k, a = _phase_coefficients(table, thetas)
+    c = a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
+    return np.cumsum(c[::-1], axis=0)[::-1], 2.0 * float(np.abs(table).sum())
+
+
+def _cdf_points(z, w, v, d) -> np.ndarray:
+    """F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j] in the caller's layouts:
+    w as for _horner, and z and v = w - 1 (shape (2, ...)) broadcasting
+    against its result.  Every value is the same operations on the same
+    inputs however the points and columns are laid out."""
+    p = _horner(w, d)
+    return z + 2.0 * (v[0] * p[0] - v[1] * p[1])
+
+
+def _cdf_values(zs, d) -> np.ndarray:
+    """F at every z of zs (flattened) for every column of the tail sums d:
+    shape (columns, points)."""
+    z = np.asarray(zs, dtype=float).ravel()
+    w, v = _unit_points(z)
+    return _cdf_points(z, w[:, None], v, d[..., None])
+
+
 def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.ndarray:
     """F_B at zs for one alpha and a row of phases theta_j, all at one cutoff.
 
-    With c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
-    F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j].  One table serves the
-    row, and each row of the result equals a one-phase call bit for bit.
-    Returns an array of shape (len(thetas),) + zs.shape.
+    One table serves the row, and each row of the result equals a
+    one-phase call bit for bit.  Returns an array of shape
+    (len(thetas),) + zs.shape.
     """
-    shape = np.shape(zs)
-    k, a = _phase_coefficients(alpha, base, thetas, cutoff_m)
-    c = a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
-    d = np.cumsum(c[::-1], axis=0)[::-1]
-    w, v = _unit_points(zs)
-    p = _horner(w, d)
-    values = np.ravel(zs) + 2.0 * (v[0] * p[0] - v[1] * p[1])
-    return values.reshape((len(thetas),) + shape)
+    d, _ = _cdf_tails(alpha, base, thetas, cutoff_m)
+    return _cdf_values(zs, d).reshape((len(thetas),) + np.shape(zs))
 
 
 def _prime_row(zs, alpha: float, theta: float, cutoff_m: int, base: BaseConfig) -> np.ndarray:
     """F_B'(z) = 1 + 2 Re[w sum_k a_k w^{k-1}] at zs, of the shape of zs."""
-    _, a = _phase_coefficients(alpha, base, [theta], cutoff_m)
+    _, a = _phase_coefficients(_gamma_ratio_table(alpha, base, cutoff_m), [theta])
     w, _ = _unit_points(zs)
-    p = _horner(w, a)
-    values = 1.0 + 2.0 * (w[0] * p[0, 0] - w[1] * p[1, 0])
+    p = _horner(w, a)  # one column: a[j] of shape (2, 1) broadcasts over the points
+    values = 1.0 + 2.0 * (w[0] * p[0] - w[1] * p[1])
     return values.reshape(np.shape(zs))
 
 

@@ -1,18 +1,26 @@
 """Tests for deviation metrics and parameter-grid sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import invgamma_benford.analysis as analysis_mod
 from invgamma_benford.analysis import (
     DeviationGridError,
     deviation_grid,
     first_digit_probs,
     max_deviation,
 )
-from invgamma_benford.benford import BaseConfig, benford_digit_prob
+from invgamma_benford.benford import BaseConfig, benford_digit_prob, log_mod_1
 from invgamma_benford.series import (
     InvGammaParams,
     TruncationSpec,
+    _cdf_rows,
+    _cdf_tails,
+    _unit_points,
     certified_cutoff,
     fb_cdf_series_values,
     fb_prime_series_values,
@@ -221,6 +229,79 @@ class TestDeviationGrid:
                 assert np.array_equal(_cdf_rows(zs, 0.4, [theta], m, b16)[0], row)
             if m == 1:  # cutoff 1 sums no terms
                 assert np.array_equal(block, np.broadcast_to(zs, block.shape))
+
+
+_ZS = np.linspace(0.0, 1.0, 1001)
+_STRIDE = analysis_mod._BRACKET_STRIDE
+_ENDS = np.arange(0, _ZS.size, _STRIDE)
+
+
+class TestBracketedRows:
+    """A sweep row evaluates the grid at every _BRACKET_STRIDE-th point, then
+    only inside the blocks whose bound can beat the column's best value."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(log_alpha=st.floats(math.log(1e-6), math.log(1e5)),
+           base=st.sampled_from([2, 3, 10, 16, 36, 2 ** 53]),
+           log_betas=st.lists(st.floats(math.log(1e-300), math.log(1e300)),
+                              min_size=11, max_size=11),
+           eps=st.sampled_from([1e-3, 1e-8, 1e-12]))
+    @example(log_alpha=math.log(1e-6), base=2, log_betas=[0.0] * 11, eps=1e-12)
+    @example(log_alpha=math.log(45.0), base=2 ** 53, log_betas=[0.0] * 11, eps=1e-3)
+    def test_equals_full_row_and_bound_holds(self, log_alpha, base, log_betas, eps):
+        alpha = math.exp(log_alpha)
+        if base == 2 ** 53:
+            alpha = min(alpha, 50.0)  # the cutoff grows fast in this base
+        b = BaseConfig(base)
+        betas = [5e-324, 1e300, math.nextafter(float(base), 0.0)]
+        betas += [math.exp(x) for x in log_betas]
+        thetas = [log_mod_1(beta, b) for beta in betas]
+        m = certified_cutoff(alpha, b, eps).cutoff_m
+        full = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
+        d, lipschitz = _cdf_tails(alpha, b, thetas, m)
+        w, v = _unit_points(_ZS)
+        got = analysis_mod._row_maxima(_ZS, w, v, d, lipschitz)
+        assert got.tobytes() == full.max(axis=1).tobytes()
+        width = float(np.diff(_ZS[_ENDS]).max())
+        if lipschitz * width < 2.0:  # the rows that are bracketed
+            bounds = analysis_mod._block_bounds(full[:, _ENDS], lipschitz, width, d)
+            inner = full[:, _ENDS[:-1, None] + np.arange(1, _STRIDE)].max(axis=2)
+            assert np.all(inner <= bounds)
+
+    @staticmethod
+    def _points_per_call(monkeypatch):
+        """Record points x columns of every series kernel call."""
+        import invgamma_benford.series as series_mod
+
+        real, sizes = series_mod._horner, []
+
+        def counting(w, c):
+            sizes.append(math.prod(np.broadcast_shapes(c.shape[2:], w.shape[1:])))
+            return real(w, c)
+
+        monkeypatch.setattr(series_mod, "_horner", counting)
+        return sizes
+
+    @pytest.mark.parametrize("alpha", [0.5, 10.0, 45.0])
+    def test_sweep_row_evaluates_under_a_quarter(self, monkeypatch, alpha):
+        sizes = self._points_per_call(monkeypatch)
+        deviation_grid((alpha, alpha, 1), (1.0, 9.99, 40), B10, 1e-3)
+        assert len(sizes) == 2
+        assert sum(sizes) < 0.25 * 40 * 1001
+
+    def test_narrow_row_makes_one_full_call(self, monkeypatch):
+        cols = analysis_mod._BRACKET_COLUMNS - 1
+        sizes = self._points_per_call(monkeypatch)
+        deviation_grid((10.0, 10.0, 1), (1.0, 9.99, cols), B10, 1e-3)
+        assert sizes == [cols * 1001]
+
+    def test_row_that_bound_cannot_prune_makes_one_full_call(self, monkeypatch):
+        m = certified_cutoff(1e5, B10, 1e-3).cutoff_m
+        _, lipschitz = _cdf_tails(1e5, B10, [0.0], m)
+        assert lipschitz * float(np.diff(_ZS[_ENDS]).max()) / 2.0 >= 1.0
+        sizes = self._points_per_call(monkeypatch)
+        deviation_grid((1e5, 1e5, 1), (1.0, 9.99, 40), B10, 1e-3)
+        assert sizes == [40 * 1001]
 
 
 class TestFirstDigitProbs:

@@ -275,6 +275,17 @@ class TestKsDistance:
         f = fb_cdf_series(z_c, p, B10, trunc).value
         assert ks_distance(batch, B10, p, trunc) == pytest.approx(max(f, 1.0 - f), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha, beta, base", [(4.081514860683259, 1.4031827778033448, 16),
+                                                   (0.05, 1.0, 3), (12.0, 1.9, 16)])
+    def test_statistic_follows_kolmogorov_law_over_seeds(self, alpha, beta, base):
+        """Over 300 seeds, the statistics of n model samples follow the exact
+        one-sample law of the KS statistic for n.  The first setting is a
+        verify operation whose statistic exceeded 2.5 / sqrt(n)."""
+        p, b, n = InvGammaParams(alpha, beta), BaseConfig(base), 2000
+        trunc = certified_cutoff(alpha, b, 1e-8)
+        ds = [ks_distance(sample_invgamma(p, n, s), b, p, trunc) for s in range(300)]
+        assert stats.kstest(ds, stats.kstwo(n).cdf).pvalue >= 1e-3
+
     def test_invariant_under_base_scaling(self):
         p = InvGammaParams(2.0, 3.0)
         trunc = truncation_cutoff(p, B10, 1e-8)

@@ -212,7 +212,7 @@ class TestHorner:
         phi = rng.uniform(0.0, 2.0 * math.pi, 7)
         w = np.stack((np.cos(phi), np.sin(phi)))
         c = rng.standard_normal((terms, 2, 3))
-        p = _horner(w, c)
+        p = _horner(w[:, None], c[..., None])  # every column at every point
         assert p.shape == (2, 3, 7)
         for col in range(3):
             for i in range(7):

@@ -103,6 +103,10 @@ def corpus():
     runs.append(["verify", "--alpha", "2.7", "--beta", "3e-310", "--base", "3"])
     runs.append(_grid("7", ("0.5", "20", "3"), ("1e-300", "1e300", "7"), "--epsilon", "1e-12"))
     runs.append(_grid("36", ("0.5", "20", "3"), ("3e-321", "7e-310", "7"), "--epsilon", "1e-12"))
+    # wide rows, bracketed, at the ends of the alpha and beta ranges
+    for base, eps in (("2", "1e-12"), ("36", "1e-12"), ("10", "1e-8")):
+        runs.append(_grid(base, ("1e-6", "3000", "5"), ("5e-324", "1e300", "40"),
+                          "--epsilon", eps, "--format", "json"))
     runs.append(["deviation", "--alpha", "1", "--beta", "1", "--epsilon", "1"])
     for base in ("1", "ten", str(2 ** 53), str(2 ** 53 + 1)):
         runs.append(["deviation", "--alpha", "2", "--beta", "3", "--base", base])
