@@ -7,14 +7,14 @@ deterministic row-major order (ascending alpha, then ascending beta), so
 repeated runs are bit-identical.  Every evaluation uses the smallest
 certified cutoff, which depends on alpha alone, so a row of the sweep (one
 alpha, every beta) is one cutoff and one coefficient table, and
-w = e^{2 pi i z} is computed once for the whole grid.  A row of at least
-_BRACKET_COLUMNS columns brackets its maxima: the kernel runs on every
-_BRACKET_STRIDE-th z, the slope bound L = 2 sum_k |r_k| bounds |F - z|
-inside each block between them, and a second call evaluates only the
-blocks whose bound, plus a derived rounding slack, can beat the column's
-best value: about a fifth of the points at sweep settings.  Narrower
-rows, and rows where L makes the bound useless, evaluate every z in one
-call.  Either way every cell equals max_deviation bit for bit.
+w = e^{2 pi i z} is computed once for the whole grid.  A row brackets its
+maxima: the kernel runs on every _BRACKET_STRIDE-th z, the slope bound
+L = 2 sum_k |r_k| bounds |F - z| inside each block between them, and a
+second call evaluates only the blocks whose bound, plus a derived
+rounding slack, can beat the column's best value: about a fifth of the
+points at sweep settings.  Rows where L makes the bound useless evaluate
+every z in one call.  Either way every cell equals max_deviation bit for
+bit.
 """
 
 import math
@@ -46,11 +46,7 @@ _MIN_GRID_POINTS = 101
 # A sweep row first evaluates every _BRACKET_STRIDE-th grid point (the
 # stride divides DEFAULT_GRID_POINTS - 1, so the last point is one of
 # them), then only the blocks between them that can hold the maximum.
-# The second kernel call costs more than it saves on rows of fewer than
-# _BRACKET_COLUMNS columns: measured break-even about 12 columns at M = 2
-# and 4 to 8 at M = 3 to 8 (2-vCPU VM, numpy 2.4).
 _BRACKET_STRIDE = 10
-_BRACKET_COLUMNS = 8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -172,16 +168,14 @@ def _row_maxima(zs, w, v, d, lipschitz: float) -> np.ndarray:
     computed.  D = F - z has |D'| = |F' - 1| <= L = 2 sum_k |r_k| for every
     phase, so inside a block of width h between two evaluated points,
     |D| <= (|D_a| + |D_b| + L h) / 2 (_block_bounds).  Blocks whose bound
-    cannot beat the column's largest end value are skipped.  Rows of fewer
-    than _BRACKET_COLUMNS columns, rows where L h / 2 >= 1 (a bound above
-    what |F - z| <= 1 already says) and rows with L = 0 (F = z exactly)
-    evaluate every z in one call.
+    cannot beat the column's largest end value are skipped.  Rows where
+    L h / 2 >= 1 (a bound above what |F - z| <= 1 already says) and rows
+    with L = 0 (F = z exactly) evaluate every z in one call.
     """
-    if d.shape[2] >= _BRACKET_COLUMNS:
-        ends = np.arange(0, zs.size, _BRACKET_STRIDE)
-        width = float(np.diff(zs[ends]).max())  # exact: differences of nearby doubles
-        if 0.0 < lipschitz * width < 2.0:
-            return _bracketed_maxima(zs, w, v, d, lipschitz, ends, width)
+    ends = np.arange(0, zs.size, _BRACKET_STRIDE)
+    width = float(np.diff(zs[ends]).max())  # exact: differences of nearby doubles
+    if 0.0 < lipschitz * width < 2.0:
+        return _bracketed_maxima(zs, w, v, d, lipschitz, ends, width)
     return _deviation(zs, w[:, None], v, d[..., None]).max(axis=1)
 
 

@@ -245,16 +245,19 @@ class TestBracketedRows:
            base=st.sampled_from([2, 3, 10, 16, 36, 2 ** 53]),
            log_betas=st.lists(st.floats(math.log(1e-300), math.log(1e300)),
                               min_size=11, max_size=11),
+           columns=st.integers(1, 14),
            eps=st.sampled_from([1e-3, 1e-8, 1e-12]))
-    @example(log_alpha=math.log(1e-6), base=2, log_betas=[0.0] * 11, eps=1e-12)
-    @example(log_alpha=math.log(45.0), base=2 ** 53, log_betas=[0.0] * 11, eps=1e-3)
-    def test_equals_full_row_and_bound_holds(self, log_alpha, base, log_betas, eps):
+    @example(log_alpha=math.log(1e-6), base=2, log_betas=[0.0] * 11, columns=14, eps=1e-12)
+    @example(log_alpha=math.log(45.0), base=2 ** 53, log_betas=[0.0] * 11, columns=14,
+             eps=1e-3)
+    @example(log_alpha=math.log(0.1), base=10, log_betas=[0.0] * 11, columns=1, eps=1e-3)
+    def test_equals_full_row_and_bound_holds(self, log_alpha, base, log_betas, columns, eps):
         alpha = math.exp(log_alpha)
         if base == 2 ** 53:
             alpha = min(alpha, 50.0)  # the cutoff grows fast in this base
         b = BaseConfig(base)
         betas = [5e-324, 1e300, math.nextafter(float(base), 0.0)]
-        betas += [math.exp(x) for x in log_betas]
+        betas = (betas + [math.exp(x) for x in log_betas])[:columns]
         thetas = [log_mod_1(beta, b) for beta in betas]
         m = certified_cutoff(alpha, b, eps).cutoff_m
         full = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
@@ -288,12 +291,6 @@ class TestBracketedRows:
         deviation_grid((alpha, alpha, 1), (1.0, 9.99, 40), B10, 1e-3)
         assert len(sizes) == 2
         assert sum(sizes) < 0.25 * 40 * 1001
-
-    def test_narrow_row_makes_one_full_call(self, monkeypatch):
-        cols = analysis_mod._BRACKET_COLUMNS - 1
-        sizes = self._points_per_call(monkeypatch)
-        deviation_grid((10.0, 10.0, 1), (1.0, 9.99, cols), B10, 1e-3)
-        assert sizes == [cols * 1001]
 
     def test_row_that_bound_cannot_prune_makes_one_full_call(self, monkeypatch):
         m = certified_cutoff(1e5, B10, 1e-3).cutoff_m
