@@ -7,14 +7,20 @@ deterministic row-major order (ascending alpha, then ascending beta), so
 repeated runs are bit-identical.  Every evaluation uses the smallest
 certified cutoff, which depends on alpha alone, so a row of the sweep (one
 alpha, every beta) is one cutoff and one coefficient table, and
-w = e^{2 pi i z} is computed once for the whole grid.  A row brackets its
-maxima: the kernel runs on every _BRACKET_STRIDE-th z, the slope bound
-L = 2 sum_k |r_k| bounds |F - z| inside each block between them, and a
-second call evaluates only the blocks whose bound, plus a derived
+w = e^{2 pi i z} is computed once for the whole grid.
+
+The grid z_n = n / N is uniform, so w_n are the N-th roots of unity and
+the series at every grid point is one inverse DFT of the tail sums.  The
+method follows from the cutoff M alone (_grid_deviation): M >= _FFT_CUTOFF
+(10) takes one inverse FFT per column, smaller M Horner's rule.  numpy.fft
+starts no worker threads, and a batched transform gives each column its
+one-column transform bit for bit.  A sweep row below _FFT_CUTOFF brackets
+its maxima: the kernel runs on every _BRACKET_STRIDE-th z, the slope
+bound L = 2 sum_k |r_k| bounds |F - z| inside each block between them,
+and a second call evaluates only the blocks whose bound, plus a derived
 rounding slack, can beat the column's best value: about a fifth of the
-points at sweep settings.  Rows where L makes the bound useless evaluate
-every z in one call.  Either way every cell equals max_deviation bit for
-bit.
+points at sweep settings.  Either way every cell equals max_deviation
+bit for bit.
 """
 
 import math
@@ -47,6 +53,14 @@ _MIN_GRID_POINTS = 101
 # stride divides DEFAULT_GRID_POINTS - 1, so the last point is one of
 # them), then only the blocks between them that can hold the maximum.
 _BRACKET_STRIDE = 10
+# Rows with a cutoff of at least _FFT_CUTOFF evaluate every grid point by an
+# inverse FFT, smaller ones by Horner's rule.  A 40-column row costs about
+# 0.5 ms by FFT at any M; bracketed Horner costs as much near M = 6 to 8
+# and about a quarter more at M = 9 (BENCH_21.json).  One column costs less
+# by FFT from M = 2 on.  Below M = 10 the FFT saves at most a fifth of a
+# 40-column row, and Horner keeps those rows' values as they were, bit for
+# bit.
+_FFT_CUTOFF = 10
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -60,8 +74,12 @@ class DeviationReport:
 
     epsilon is the truncation certificate attached to every evaluated point,
     in every base, and cutoff_m the smallest cutoff that certifies it
-    (certified_cutoff); the true maximum deviation lies within epsilon plus
-    the grid-resolution slack of max_dev.
+    (certified_cutoff).  The true maximum deviation lies within epsilon of
+    max_dev, plus the grid-resolution slack (the maximum may fall between
+    grid points) and the rounding of the evaluation: Horner's rule below
+    cutoff_m = _FFT_CUTOFF, one inverse FFT from there on, each
+    measured within a few 1e-15 of a 40-digit sum of the same coefficients
+    (bounds in _block_bounds and _grid_deviation).
     """
 
     max_dev: float
@@ -96,13 +114,13 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
 
     The cutoff comes from certified_cutoff(epsilon), so every grid value
     carries the epsilon certificate.  The reported argmax_z attains max_dev
-    exactly as evaluated on the grid.
+    exactly as evaluated on the grid (_grid_deviation).
     """
     grid_points = _as_int(grid_points, "grid_points", _MIN_GRID_POINTS)
     trunc = certified_cutoff(params.alpha, base, epsilon)
     zs = np.linspace(0.0, 1.0, grid_points)
-    values = fb_cdf_series_values(zs, params, base, trunc)
-    dev = np.abs(values - zs)
+    d, _ = _cdf_tails(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
+    dev = _grid_deviation(zs, *_unit_points(zs), d)[0]
     idx = int(np.argmax(dev))
     return DeviationReport(
         max_dev=float(dev[idx]),
@@ -163,24 +181,26 @@ def _row_maxima(zs, w, v, d, lipschitz: float) -> np.ndarray:
     unit points w, v and the row's tail sums d with their slope bound L
     (series._cdf_tails).
 
-    The maximum is taken over exactly the values that evaluating every z
-    gives, so it is that evaluation's bit for bit; most of them are never
-    computed.  D = F - z has |D'| = |F' - 1| <= L = 2 sum_k |r_k| for every
-    phase, so inside a block of width h between two evaluated points,
-    |D| <= (|D_a| + |D_b| + L h) / 2 (_block_bounds).  Blocks whose bound
-    cannot beat the column's largest end value are skipped.  Rows where
-    L h / 2 >= 1 (a bound above what |F - z| <= 1 already says) and rows
-    with L = 0 (F = z exactly) evaluate every z in one call.
+    Rows with a cutoff M >= _FFT_CUTOFF, and rows with L = 0 (F = z
+    exactly), take the maximum of _grid_deviation.  Other rows bracket it:
+    the maximum is taken over exactly the values that Horner's rule at
+    every z gives, so it is that evaluation's bit for bit; most of them
+    are never computed.  D = F - z has |D'| = |F' - 1| <= L = 2 sum_k |r_k|
+    for every phase, so inside a block of width h between two evaluated
+    points, |D| <= (|D_a| + |D_b| + L h) / 2 (_block_bounds).  Blocks whose
+    bound cannot beat the column's largest end value are skipped.  As
+    |r_k| <= 1, L < 2 (M - 1) < 2 _FFT_CUTOFF, so L h / 2 < 1 on the
+    default grid (h = 1/100), as _block_bounds assumes.
     """
+    if len(d) + 1 >= _FFT_CUTOFF or lipschitz == 0.0:
+        return _grid_deviation(zs, w, v, d).max(axis=1)
+    return _bracketed_maxima(zs, w, v, d, lipschitz)
+
+
+def _bracketed_maxima(zs, w, v, d, lipschitz: float) -> np.ndarray:
+    """_row_maxima from every _BRACKET_STRIDE-th point and the blocks between them."""
     ends = np.arange(0, zs.size, _BRACKET_STRIDE)
     width = float(np.diff(zs[ends]).max())  # exact: differences of nearby doubles
-    if 0.0 < lipschitz * width < 2.0:
-        return _bracketed_maxima(zs, w, v, d, lipschitz, ends, width)
-    return _deviation(zs, w[:, None], v, d[..., None]).max(axis=1)
-
-
-def _bracketed_maxima(zs, w, v, d, lipschitz: float, ends, width: float) -> np.ndarray:
-    """_row_maxima from the points zs[ends] and the blocks between them."""
     coarse = _deviation(zs[ends], w[:, None, ends], v[:, ends], d[..., None])
     best = coarse.max(axis=1)
     col, block = np.nonzero(_block_bounds(coarse, lipschitz, width, d) > best[:, None])
@@ -190,6 +210,61 @@ def _bracketed_maxima(zs, w, v, d, lipschitz: float, ends, width: float) -> np.n
     inner = _deviation(zs[pts], w[:, pts], v[:, pts], d[:, :, None, col])
     np.maximum.at(best, col, inner.max(axis=0))
     return best
+
+
+def _grid_deviation(zs, w, v, d) -> np.ndarray:
+    """|F(z) - z| at every point of the uniform closed grid zs, with its unit
+    points w, v (series._unit_points), for every column of the tail sums d
+    (series._cdf_tails): shape (columns, points).
+
+    The method follows from the cutoff M = len(d) + 1 alone, so a column's
+    values do not depend on the other columns.  Below _FFT_CUTOFF it is
+    Horner's rule (series._cdf_points).  From there on, z_n = n / N with
+    N = points - 1 makes w_n = e^{2 pi i n / N} the N-th roots of unity,
+    and p_n = sum_j d_j w_n^j is the unnormalised inverse DFT of the d_j
+    folded onto j mod N: one np.fft.ifft of length N per column, whatever
+    M is.  D = 2 Re(v p) is formed directly, so it is exactly 0 at z = 0
+    and z = 1, where v = 0.  numpy.fft (pocketfft) starts no worker
+    threads, and its batched transform along the last axis gives each
+    column bit for bit its one-column transform (a module test).
+
+    Rounding.  Let S = sum_j |d_j|, u = 2^-53, k = ceil((M - 1) / N) the
+    most terms folded into one bin, and gamma = t eta / (1 - t eta) with
+    eta = 8 u and t = 2 ceil(log2 N) + 2.  Each computed D is within
+
+        e = (4 sqrt(N) gamma + (102 + 4 k) u) S
+
+    of 2 Re(v p) at z = n / N exactly, with p from the computed d_j.  For
+    a radix-2 transform of length 2^t, Higham (Accuracy and Stability of
+    Numerical Algorithms, Thm 24.2) bounds the 2-norm error of p by
+    t eta / (1 - t eta) times ||p||_2 = sqrt(N) ||d||_2 <= sqrt(N) S, where
+    eta = mu + gamma_4 (sqrt(2) + mu) <= 8 u for twiddle factors within
+    mu <= 2 u.  pocketfft's mixed-radix and Bluestein plans are taken to
+    have the same form with the stage count doubled plus two, which is
+    stated, not proven.  |2 v| <= 4 turns that into the first term.  The
+    folding adds 4 k u S; v = w - 1 at the rounded z is within 47 u of its
+    value at n / N (94 u S); the products with v, the difference and the
+    factor 2 add 8 u S.  At N = 1000, e is about 2.5e-12 S.  Measured against
+    40-digit sums of the same table entries and phase (tests/mp_reference.py)
+    at 143 of the 1001 points, for alpha 100, 3000 and 1e5 in bases 2, 10
+    and 36 at epsilon 1e-8, the error is at most 1.8e-15.
+    """
+    if len(d) + 1 < _FFT_CUTOFF:
+        return _deviation(zs, w[:, None], v, d[..., None])
+    n = zs.size - 1
+    x = np.ascontiguousarray(d.transpose(2, 0, 1)).view(complex)[..., 0]  # (columns, M - 1)
+    for s in range(n, x.shape[1], n):  # w_n^N = 1: fold d_j onto j mod N
+        part = x[:, s:s + n]
+        x[:, :part.shape[1]] += part
+    p = np.fft.ifft(x[:, :n], n, norm="forward")
+    # in place: fresh temporaries of this size cost more in page faults than
+    # the arithmetic
+    np.multiply(p.real, v[0, :n], out=p.real)
+    np.multiply(p.imag, v[1, :n], out=p.imag)
+    dev = np.zeros((len(p), zs.size))  # z = 1 (n = N) has v = 0, as z = 0 does
+    np.subtract(p.real, p.imag, out=dev[:, :n])
+    dev *= 2.0
+    return np.abs(dev, out=dev)
 
 
 def _deviation(z, w, v, d) -> np.ndarray:

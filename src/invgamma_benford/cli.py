@@ -5,14 +5,16 @@ through _emit: with --format json one envelope {format, metadata,
 payload} on stdout and nothing on stderr; with --format csv a "# key=value
 ..." metadata line and any notes (the grid --summary spreads, the sample
 digit histogram) on stderr, then a header and rows on stdout.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 141 stdout closed early
-(128 + SIGPIPE, as for `| head`).  Every base BaseConfig accepts
-(2 <= B <= 2**53) is certified: the metadata key "certified" is always
-true.  Every flag value is checked by argparse with the library's own
-validators, so any bad value (a non-finite epsilon, an epsilon of 1 or
-more, a base above 2**53 and a negative seed included) is a usage error:
-exit 2 with empty stdout.  Output is buffered and deterministic: identical
-flags produce byte-identical stdout.  Samples come from numpy's PCG64 and
+0 success, 1 verification failure, 2 usage error, 3 arithmetic failure (an
+ArithmeticError, OverflowError included, escaped the computation; one line
+on stderr names it), 141 stdout closed early (128 + SIGPIPE, as for
+`| head`).  Every base BaseConfig accepts (2 <= B <= 2**53) is certified:
+the metadata key "certified" is always true.  Every flag value is checked
+by argparse with the library's own validators, so any bad value (a
+non-finite epsilon, an epsilon of 1 or more, a base above 2**53 and a
+negative seed included) is a usage error: exit 2 with empty stdout.
+Output is buffered and deterministic: identical flags produce
+byte-identical stdout.  Samples come from numpy's PCG64 and
 Generator.standard_gamma.
 """
 
@@ -41,6 +43,7 @@ __all__ = ["main", "entry", "build_parser"]
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
+_EXIT_ARITHMETIC = 3
 _EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
@@ -310,7 +313,11 @@ def main(argv=None) -> int:
                     parser.error(f"{axis}-max must be >= {axis}-min")
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code) if exc.code is not None else _EXIT_OK
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ArithmeticError as exc:  # every command prints only once its result is complete
+        print(f"invgamma-benford {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_ARITHMETIC
 
 
 def entry() -> None:

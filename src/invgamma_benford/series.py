@@ -41,6 +41,15 @@ complex numpy operations; from there on every complex value is one real
 float64 array of shape (2, ...), real parts first, and a Horner step is
 four elementwise calls (no BLAS, no complex multiply), so a value never
 depends on the layout or row it was computed in or on the thread count.
+
+On the uniform grid z_n = n / N that max_deviation and deviation_grid
+use, w_n are the N-th roots of unity and sum_j d_j w_n^j is an inverse
+DFT of the tail sums.  For cutoffs from analysis._FFT_CUTOFF on, those
+callers evaluate it by numpy.fft, one transform per column whatever M
+is, and by Horner's rule below that; arbitrary points (cdf, first-digit
+probabilities, ks_distance) always take Horner's rule.  numpy.fft starts
+no worker threads, and a batched transform gives each column bit for bit
+its one-column transform.
 """
 
 import math

@@ -20,12 +20,14 @@ from invgamma_benford.series import (
     TruncationSpec,
     _cdf_rows,
     _cdf_tails,
+    _gamma_ratio_table,
     _unit_points,
     certified_cutoff,
     fb_cdf_series_values,
     fb_prime_series_values,
     truncation_cutoff,
 )
+import mp_reference
 
 B10 = BaseConfig(10)
 
@@ -173,10 +175,19 @@ class TestDeviationGrid:
     def test_every_cell_equals_max_deviation_bitwise(self, base_int, eps):
         # betas lie outside [1, B); the rows' cutoffs differ, each row has one
         base = BaseConfig(base_int)
-        grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
-        for i, a in enumerate(grid.alpha_values):
-            for j, b in enumerate(grid.beta_values):
-                assert grid.dev[i, j] == max_deviation(InvGammaParams(a, b), base, eps).max_dev
+        # the second grid has rows on both sides of _FFT_CUTOFF, with 40 columns
+        # as in a sweep operation: a batched inverse FFT gives each column its
+        # one-column transform bit for bit
+        cutoffs = []
+        for alpha_range, beta_range in (((0.02, 3.0, 4), (1e-4, 5e3, 7)),
+                                        ((1.0, 1e4, 5), (1e-4, 5e3, 40))):
+            grid = deviation_grid(alpha_range, beta_range, base, eps)
+            for i, a in enumerate(grid.alpha_values):
+                cutoffs.append(certified_cutoff(a, base, eps).cutoff_m)
+                for j, b in enumerate(grid.beta_values):
+                    assert grid.dev[i, j] == max_deviation(InvGammaParams(a, b), base,
+                                                           eps).max_dev
+        assert min(cutoffs) < analysis_mod._FFT_CUTOFF <= max(cutoffs)
 
     def test_one_cutoff_per_row(self, monkeypatch):
         import invgamma_benford.analysis as analysis_mod
@@ -260,13 +271,16 @@ class TestBracketedRows:
         betas = (betas + [math.exp(x) for x in log_betas])[:columns]
         thetas = [log_mod_1(beta, b) for beta in betas]
         m = certified_cutoff(alpha, b, eps).cutoff_m
-        full = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
         d, lipschitz = _cdf_tails(alpha, b, thetas, m)
         w, v = _unit_points(_ZS)
         got = analysis_mod._row_maxima(_ZS, w, v, d, lipschitz)
+        if m < analysis_mod._FFT_CUTOFF:  # Horner's rule at every point
+            full = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
+        else:
+            full = analysis_mod._grid_deviation(_ZS, w, v, d)
         assert got.tobytes() == full.max(axis=1).tobytes()
         width = float(np.diff(_ZS[_ENDS]).max())
-        if lipschitz * width < 2.0:  # the rows that are bracketed
+        if m < analysis_mod._FFT_CUTOFF and lipschitz > 0.0:  # the rows that are bracketed
             bounds = analysis_mod._block_bounds(full[:, _ENDS], lipschitz, width, d)
             inner = full[:, _ENDS[:-1, None] + np.arange(1, _STRIDE)].max(axis=2)
             assert np.all(inner <= bounds)
@@ -293,12 +307,92 @@ class TestBracketedRows:
         assert sum(sizes) < 0.25 * 40 * 1001
 
     def test_row_that_bound_cannot_prune_makes_one_full_call(self, monkeypatch):
+        """Such a row (alpha = 1e5, M = 341) is one batched inverse FFT, with no Horner step."""
         m = certified_cutoff(1e5, B10, 1e-3).cutoff_m
         _, lipschitz = _cdf_tails(1e5, B10, [0.0], m)
         assert lipschitz * float(np.diff(_ZS[_ENDS]).max()) / 2.0 >= 1.0
         sizes = self._points_per_call(monkeypatch)
+        real, shapes = np.fft.ifft, []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", counting)
         deviation_grid((1e5, 1e5, 1), (1.0, 9.99, 40), B10, 1e-3)
-        assert sizes == [40 * 1001]
+        assert sizes == []
+        assert shapes == [(40, 1000)]
+
+
+def _fft_rounding_bound(d, n):
+    """The bound e of analysis._grid_deviation on each computed |D| of the
+    FFT branch, per column of the tail sums d, for a grid of n + 1 points."""
+    u = 2.0 ** -53
+    t = 2 * math.ceil(math.log2(n)) + 2
+    gamma = t * 8 * u / (1 - t * 8 * u)
+    k = math.ceil(len(d) / n)
+    return (4 * math.sqrt(n) * gamma + (102 + 4 * k) * u) * np.abs(d).sum(axis=(0, 1))
+
+
+class TestFftRows:
+    """Rows with a cutoff of at least _FFT_CUTOFF evaluate every grid point by one
+    inverse FFT per column."""
+
+    @pytest.mark.parametrize("alpha", [100.0, 3000.0, 1e5])
+    @pytest.mark.parametrize("base_int", [2, 10, 36])
+    def test_rounding_against_mpmath(self, monkeypatch, alpha, base_int):
+        """D against a 40-digit sum of the same table entries and phase at
+        z = n / 1000 exactly, for every cutoff (base 2 at alpha = 100 has M = 7)."""
+        monkeypatch.setattr(analysis_mod, "_FFT_CUTOFF", 2)
+        base = BaseConfig(base_int)
+        theta = log_mod_1(2.9, base)
+        m = certified_cutoff(alpha, base, 1e-8).cutoff_m
+        d, _ = _cdf_tails(alpha, base, [theta], m)
+        got = analysis_mod._grid_deviation(_ZS, *_unit_points(_ZS), d)[0]
+        ns = range(0, 1001, 20)
+        table = _gamma_ratio_table(alpha, base, m)
+        exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
+        err = max(abs(got[n] - abs(ref - n / 1000)) for n, ref in zip(ns, exact))
+        assert err <= 4e-15
+        assert err <= _fft_rounding_bound(d, 1000)[0]
+
+    @pytest.mark.parametrize("alpha", [3000.0, 1e5])
+    def test_argmax_attains_max_exactly_as_evaluated(self, alpha):
+        p = InvGammaParams(alpha, 2.2)
+        report = max_deviation(p, B10, 1e-8)
+        assert report.cutoff_m >= analysis_mod._FFT_CUTOFF
+        d, _ = _cdf_tails(alpha, B10, [log_mod_1(p.beta, B10)], report.cutoff_m)
+        dev = analysis_mod._grid_deviation(_ZS, *_unit_points(_ZS), d)[0]
+        idx = int(np.argmax(dev))
+        assert _ZS[idx] == report.argmax_z
+        assert dev[idx] == report.max_dev
+
+    @pytest.mark.parametrize("grid_points", [101, 102])
+    def test_folded_cutoff_above_grid_length(self, grid_points):
+        """At alpha = 1e5 (M = 627) the tail sums fold onto N = 100 and N = 101
+        (a prime) bins.  The same points from an unfolded transform of length
+        7 N agree within both transforms' stated bounds, and Horner's rule at
+        the rounded z within those plus its own bound (_block_bounds) and the
+        slope L times the rounding of z."""
+        n = grid_points - 1
+        m = certified_cutoff(1e5, B10, 1e-8).cutoff_m
+        assert m - 1 > n
+        thetas = [log_mod_1(beta, B10) for beta in (1.0, 2.2, 7.7)]
+        d, lipschitz = _cdf_tails(1e5, B10, thetas, m)
+        zs = np.linspace(0.0, 1.0, grid_points)
+        folded = analysis_mod._grid_deviation(zs, *_unit_points(zs), d)
+        fine = np.linspace(0.0, 1.0, 7 * n + 1)
+        unfolded = analysis_mod._grid_deviation(fine, *_unit_points(fine), d)[:, ::7]
+        fft_bound = _fft_rounding_bound(d, n)[:, None]
+        fine_bound = _fft_rounding_bound(d, 7 * n)[:, None]
+        assert np.all(np.abs(folded - unfolded) <= fft_bound + fine_bound)
+        u, terms = 2.0 ** -53, 44 * m + 25
+        horner_bound = terms * u / (1 - terms * u) * (1 + 4 * np.abs(d).sum(axis=(0, 1)))
+        horner = np.abs(_cdf_rows(zs, 1e5, thetas, m, B10) - zs)
+        assert np.all(np.abs(folded - horner) <= fft_bound + horner_bound[:, None] + lipschitz * u)
+        report = max_deviation(InvGammaParams(1e5, 2.2), B10, 1e-8, grid_points)
+        assert report.max_dev == folded[1].max()
 
 
 class TestFirstDigitProbs:

@@ -334,6 +334,26 @@ class TestParserBasics:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["deviation", "--alpha", "1"]) == 2
 
+    def test_arithmetic_error_exits_three_with_one_line(self, capsys, monkeypatch):
+        """An escaped ArithmeticError (the sampler at alpha = 1e-5) or
+        OverflowError is one line on stderr and exit 3, not a traceback and
+        the exit code of a failed verification."""
+        import invgamma_benford.cli as cli_mod
+
+        code, out, err = run_cli(capsys, "sample", "--alpha", "1e-5", "--beta", "1",
+                                 "--n", "1000")
+        assert (code, out) == (3, "")
+        assert err.startswith("invgamma-benford sample: ArithmeticError: ")
+        assert err.count("\n") == 1
+
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli_mod, "max_deviation", overflow)
+        code, out, err = run_cli(capsys, "deviation", "--alpha", "2", "--beta", "3")
+        assert (code, out) == (3, "")
+        assert err == "invgamma-benford deviation: OverflowError: math range error\n"
+
     def test_module_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "invgamma_benford", "deviation",

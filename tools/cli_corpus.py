@@ -95,6 +95,12 @@ def corpus():
                  "--points", "101", "--format", "json"])
     runs.append(_grid("10", ("1000", "3000", "3"), ("1", "9.99", "5"), "--epsilon", "1e-8",
                       "--format", "json"))
+    # rows on both sides of the FFT cutoff (M = 7, 8, 10 and 11), and a cutoff of 627
+    # folded onto a grid of N = 101 (a prime) points
+    runs.append(_grid("10", ("5", "20", "4"), ("1", "9.99", "40"), "--epsilon", "1e-8",
+                      "--format", "json"))
+    runs.append(["deviation", "--alpha", "1e5", "--beta", "2.2", "--epsilon", "1e-8",
+                 "--grid-points", "102"])
     # scales at the ends of the double range, where beta is scaled into [1, B)
     for beta, base in (("5e-324", "10"), ("1.7976931348623157e308", "10"),
                        ("9.999999999999999e-293", "10"), ("1e-291", "1000")):
@@ -112,6 +118,7 @@ def corpus():
         runs.append(["deviation", "--alpha", "2", "--beta", "3", "--base", base])
     runs.append(["verify", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
+    runs.append(["sample", "--alpha", "1e-5", "--beta", "1", "--n", "1000"])
     return runs
 
 
