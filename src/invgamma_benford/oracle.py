@@ -226,7 +226,7 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     """
     frac = np.sort(log_mod_1_array(batch.values, base))
     n = frac.size
-    d, _ = _cdf_tails(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
+    d = _cdf_tails(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
     ends = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
     f_ends = _cdf_values(frac[ends], d)[0]
     best = _largest_gap(ends, f_ends, n)

@@ -30,26 +30,27 @@ e^{-2 pi i k t}, c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
     F_B'(z) = 1 + 2 Re( w * sum_{k<M} a_k w^(k-1) )
     F_B(z)  = z + 2 Re( (w - 1) * sum_{j<M-1} d_j w^j )
 
-and one routine, _horner, evaluates both by Horner's rule (its rounding
-is the gamma_n analysis of Higham, Accuracy and Stability of Numerical
+One kernel serves each kind of point set.  At arbitrary points (cdf,
+first-digit probabilities, fb_*_series, ks_distance) one routine,
+_horner, evaluates both series by Horner's rule (its rounding is the
+gamma_n analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 5).  w - 1 is formed from sin(pi z), so it is exactly 0
-at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  The tail
-sums of a row of phases are built once, from one table at the row's one
-cutoff (_cdf_tails), and evaluated on as many point sets as the caller
-needs, in the layouts it forms (_cdf_points).  The table is built with
-complex numpy operations; from there on every complex value is one real
-float64 array of shape (2, ...), real parts first, and a Horner step is
-four elementwise calls (no BLAS, no complex multiply), so a value never
-depends on the layout or row it was computed in or on the thread count.
+at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold exactly.  The
+coefficients of a row of phases are built once, from one table at the
+row's one cutoff (_cdf_coefficients, _cdf_tails).  The table is built
+with complex numpy operations; from there on every complex value is one
+real float64 array of shape (2, ...), real parts first, and a Horner
+step is four elementwise calls (no BLAS, no complex multiply), so a
+value never depends on the layout or row it was computed in or on the
+thread count.
 
 On the uniform grid z_n = n / N that max_deviation and deviation_grid
-use, w_n are the N-th roots of unity and sum_j d_j w_n^j is an inverse
-DFT of the tail sums.  For cutoffs from analysis._FFT_CUTOFF on, those
-callers evaluate it by numpy.fft, one transform per column whatever M
-is, and by Horner's rule below that; arbitrary points (cdf, first-digit
-probabilities, ks_distance) always take Horner's rule.  numpy.fft starts
-no worker threads, and a batched transform gives each column bit for bit
-its one-column transform.
+use, w_n are the N-th roots of unity, so F_B - z = 2 Re sum_{k<M} e_k
+w^k, with e_0 = -d_0 and e_k = c_k, is a real inverse DFT of the e_k:
+analysis._grid_deviation evaluates it by one numpy.fft.irfft per
+column, whatever M is, and sets it to exactly 0 at z = 0 and z = 1.
+numpy.fft starts no worker threads, and a batched transform gives each
+column bit for bit its one-column transform.
 """
 
 import math
@@ -346,32 +347,31 @@ def _horner(w, c):
     return p
 
 
-def _cdf_tails(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
-    """The CDF's tail sums d_j = sum_{k>j} c_k, c_k = a_k / (2 pi i k), for one
+def _cdf_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
+    """The CDF's coefficients c_k = a_k / (2 pi i k), k = 1..M - 1, for one
     alpha and a row of phases theta_j, from one table: shape (terms, 2,
-    columns).  Also returns L = 2 sum_k |r_k|, which bounds |F' - 1| for
-    every phase of the row."""
+    columns)."""
     table = _gamma_ratio_table(alpha, base, cutoff_m)
     k, a = _phase_coefficients(table, thetas)
-    c = a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
-    return np.cumsum(c[::-1], axis=0)[::-1], 2.0 * float(np.abs(table).sum())
+    return a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
 
 
-def _cdf_points(z, w, v, d) -> np.ndarray:
-    """F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j] in the caller's layouts:
-    w as for _horner, and z and v = w - 1 (shape (2, ...)) broadcasting
-    against its result.  Every value is the same operations on the same
-    inputs however the points and columns are laid out."""
-    p = _horner(w, d)
-    return z + 2.0 * (v[0] * p[0] - v[1] * p[1])
+def _cdf_tails(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
+    """The tail sums d_j = sum_{k>j} c_k of _cdf_coefficients: shape (terms,
+    2, columns)."""
+    c = _cdf_coefficients(alpha, base, thetas, cutoff_m)
+    return np.cumsum(c[::-1], axis=0)[::-1]
 
 
 def _cdf_values(zs, d) -> np.ndarray:
-    """F at every z of zs (flattened) for every column of the tail sums d:
-    shape (columns, points)."""
+    """F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j] at every z of zs
+    (flattened) for every column of the tail sums d: shape (columns,
+    points).  Every value is the same operations on the same inputs
+    however many points and columns the call holds."""
     z = np.asarray(zs, dtype=float).ravel()
     w, v = _unit_points(z)
-    return _cdf_points(z, w[:, None], v, d[..., None])
+    p = _horner(w[:, None], d[..., None])
+    return z + 2.0 * (v[0] * p[0] - v[1] * p[1])
 
 
 def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.ndarray:
@@ -381,7 +381,7 @@ def _cdf_rows(zs, alpha: float, thetas, cutoff_m: int, base: BaseConfig) -> np.n
     one-phase call bit for bit.  Returns an array of shape
     (len(thetas),) + zs.shape.
     """
-    d, _ = _cdf_tails(alpha, base, thetas, cutoff_m)
+    d = _cdf_tails(alpha, base, thetas, cutoff_m)
     return _cdf_values(zs, d).reshape((len(thetas),) + np.shape(zs))
 
 
@@ -438,7 +438,7 @@ def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
     """Vectorized fb_cdf_series values over an array of z in [0, 1].
 
     Elementwise identical to fb_cdf_series (same coefficients and
-    operations), and to the matching row of a deviation_grid sweep.
+    operations).
     """
     arr = _unit_interval_array(zs)
     theta = log_mod_1(params.beta, base)

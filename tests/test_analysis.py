@@ -17,13 +17,11 @@ from invgamma_benford.analysis import (
 from invgamma_benford.benford import BaseConfig, benford_digit_prob, log_mod_1
 from invgamma_benford.series import (
     InvGammaParams,
-    TruncationSpec,
+    _cdf_coefficients,
     _cdf_rows,
     _cdf_tails,
     _gamma_ratio_table,
-    _unit_points,
     certified_cutoff,
-    fb_cdf_series_values,
     fb_prime_series_values,
     truncation_cutoff,
 )
@@ -62,17 +60,6 @@ class TestMaxDeviation:
         for m in (-2, -1, 1, 2):
             other = max_deviation(InvGammaParams(10.0, 10.0 ** m), B10, eps).max_dev
             assert abs(ref - other) <= 2 * eps
-
-    def test_argmax_attains_max_exactly_as_evaluated(self):
-        p = InvGammaParams(3.3, 2.2)
-        report = max_deviation(p, B10, 1e-6)
-        trunc = certified_cutoff(p.alpha, B10, 1e-6)
-        zs = np.linspace(0.0, 1.0, report.grid_points)
-        vals = fb_cdf_series_values(zs, p, B10, TruncationSpec(1e-6, report.cutoff_m))
-        idx = int(np.argmax(np.abs(vals - zs)))
-        assert zs[idx] == report.argmax_z
-        assert abs(vals[idx] - zs[idx]) == report.max_dev
-        assert trunc.cutoff_m == report.cutoff_m
 
     def test_grid_refinement_stability(self):
         eps = 1e-6
@@ -173,21 +160,18 @@ class TestDeviationGrid:
     @pytest.mark.parametrize("base_int", [3, 10, 16])
     @pytest.mark.parametrize("eps", [1e-3, 1e-10])
     def test_every_cell_equals_max_deviation_bitwise(self, base_int, eps):
-        # betas lie outside [1, B); the rows' cutoffs differ, each row has one
+        # betas lie outside [1, B); the rows' cutoffs differ, each row has one.
+        # The second grid has 40 columns, as in a sweep operation, and
+        # cutoffs from a few terms to hundreds: a batched inverse FFT gives
+        # each column its one-column transform bit for bit
         base = BaseConfig(base_int)
-        # the second grid has rows on both sides of _FFT_CUTOFF, with 40 columns
-        # as in a sweep operation: a batched inverse FFT gives each column its
-        # one-column transform bit for bit
-        cutoffs = []
         for alpha_range, beta_range in (((0.02, 3.0, 4), (1e-4, 5e3, 7)),
                                         ((1.0, 1e4, 5), (1e-4, 5e3, 40))):
             grid = deviation_grid(alpha_range, beta_range, base, eps)
             for i, a in enumerate(grid.alpha_values):
-                cutoffs.append(certified_cutoff(a, base, eps).cutoff_m)
                 for j, b in enumerate(grid.beta_values):
                     assert grid.dev[i, j] == max_deviation(InvGammaParams(a, b), base,
                                                            eps).max_dev
-        assert min(cutoffs) < analysis_mod._FFT_CUTOFF <= max(cutoffs)
 
     def test_one_cutoff_per_row(self, monkeypatch):
         import invgamma_benford.analysis as analysis_mod
@@ -243,13 +227,47 @@ class TestDeviationGrid:
 
 
 _ZS = np.linspace(0.0, 1.0, 1001)
-_STRIDE = analysis_mod._BRACKET_STRIDE
-_ENDS = np.arange(0, _ZS.size, _STRIDE)
+_U = 2.0 ** -53
 
 
-class TestBracketedRows:
-    """A sweep row evaluates the grid at every _BRACKET_STRIDE-th point, then
-    only inside the blocks whose bound can beat the column's best value."""
+def _gamma_n(n):
+    return n * _U / (1 - n * _U)
+
+
+def _fft_rounding_bound(c, n):
+    """The bound e of analysis._grid_deviation on each computed |D|, per
+    column of the CDF coefficients c, for a grid of n + 1 points."""
+    t = 2 * math.ceil(math.log2(n)) + 2
+    gamma = _gamma_n(8 * t)  # t eta / (1 - t eta) with eta = 8 u
+    fold = _gamma_n(2 * math.ceil((len(c) + 1) / n))
+    s = np.hypot(*c.sum(axis=0)) + np.hypot(c[:, 0], c[:, 1]).sum(axis=0)  # |d_0| + sum |c_k|
+    return 2 * (math.sqrt(n) * gamma + (1 + math.sqrt(n) * gamma) * fold) * s
+
+
+def _horner_rounding_bound(alpha, base, thetas, m):
+    """How far each |F - z| that Horner's rule (series._cdf_values) computes
+    on np.linspace(0, 1, N + 1) can lie from |D| at z = n / N exactly, with D
+    summed from the same coefficients as analysis._grid_deviation sums them;
+    per column of the phases thetas.
+
+    With S = sum_j |d_j| over the tail sums, the Horner steps give
+    gamma_{4M} S (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 5); w and w - 1 at the rounded z are within 40 u of exact (pi, sin
+    and cos to one ulp), which moves the sum by at most 40 u M S; the
+    products with w - 1, the factor 2 and the sums with z add a few u S:
+    gamma_{44 M + 25} (1 + 4 S) in all.  The tail sums differ from the
+    exact ones of the c_k by sqrt(2) u |d_j| each (2 sqrt(2) u S on D), and
+    the rounded z lies within 2 u of n / N, which moves D by at most 2 u L
+    with L = 2 sum_k |r_k| >= |D'|."""
+    d = _cdf_tails(alpha, base, thetas, m)
+    s = np.hypot(d[:, 0], d[:, 1]).sum(axis=0)
+    lipschitz = 2.0 * float(np.abs(_gamma_ratio_table(alpha, base, m)).sum())
+    return _gamma_n(44 * m + 25) * (1 + 4 * s) + 3 * _U * s + 2 * _U * lipschitz
+
+
+class TestFftRows:
+    """max_deviation and every deviation_grid row evaluate the grid by one real
+    inverse FFT per column, whatever the cutoff."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(log_alpha=st.floats(math.log(1e-6), math.log(1e5)),
@@ -262,7 +280,12 @@ class TestBracketedRows:
     @example(log_alpha=math.log(45.0), base=2 ** 53, log_betas=[0.0] * 11, columns=14,
              eps=1e-3)
     @example(log_alpha=math.log(0.1), base=10, log_betas=[0.0] * 11, columns=1, eps=1e-3)
-    def test_equals_full_row_and_bound_holds(self, log_alpha, base, log_betas, columns, eps):
+    @example(log_alpha=math.log(1e-3), base=10, log_betas=[0.0] * 11, columns=5, eps=1e-3)
+    def test_row_columns_bitwise_and_near_horner(self, log_alpha, base, log_betas, columns,
+                                                 eps):
+        """Each column of a batched row is its one-column call bit for bit, is
+        exactly 0 at z = 0 and z = 1, and lies within the FFT's and Horner's
+        rounding bounds of Horner's rule at the same points."""
         alpha = math.exp(log_alpha)
         if base == 2 ** 53:
             alpha = min(alpha, 50.0)  # the cutoff grows fast in this base
@@ -271,126 +294,87 @@ class TestBracketedRows:
         betas = (betas + [math.exp(x) for x in log_betas])[:columns]
         thetas = [log_mod_1(beta, b) for beta in betas]
         m = certified_cutoff(alpha, b, eps).cutoff_m
-        d, lipschitz = _cdf_tails(alpha, b, thetas, m)
-        w, v = _unit_points(_ZS)
-        got = analysis_mod._row_maxima(_ZS, w, v, d, lipschitz)
-        if m < analysis_mod._FFT_CUTOFF:  # Horner's rule at every point
-            full = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
-        else:
-            full = analysis_mod._grid_deviation(_ZS, w, v, d)
-        assert got.tobytes() == full.max(axis=1).tobytes()
-        width = float(np.diff(_ZS[_ENDS]).max())
-        if m < analysis_mod._FFT_CUTOFF and lipschitz > 0.0:  # the rows that are bracketed
-            bounds = analysis_mod._block_bounds(full[:, _ENDS], lipschitz, width, d)
-            inner = full[:, _ENDS[:-1, None] + np.arange(1, _STRIDE)].max(axis=2)
-            assert np.all(inner <= bounds)
+        c = _cdf_coefficients(alpha, b, thetas, m)
+        got = analysis_mod._grid_deviation(_ZS.size, c)
+        for theta, row in zip(thetas, got):
+            one = analysis_mod._grid_deviation(_ZS.size, _cdf_coefficients(alpha, b, [theta], m))
+            assert one[0].tobytes() == row.tobytes()
+        assert not got[:, [0, -1]].any()  # F(0) = 0 and F(1) = 1 exactly
+        if m == 1:  # no terms: F = z
+            assert not got.any()
+        horner = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
+        bound = _fft_rounding_bound(c, _ZS.size - 1) + _horner_rounding_bound(alpha, b, thetas, m)
+        assert np.all(np.abs(got - horner) <= bound[:, None])
 
-    @staticmethod
-    def _points_per_call(monkeypatch):
-        """Record points x columns of every series kernel call."""
+    @pytest.mark.parametrize("alpha", [0.5, 10.0, 45.0, 1e5])
+    def test_sweep_row_is_one_transform(self, monkeypatch, alpha):
+        """A 40-column sweep row (M = 3, 5, 9 and 341) is one batched real
+        inverse FFT, with no Horner step."""
         import invgamma_benford.series as series_mod
 
-        real, sizes = series_mod._horner, []
-
-        def counting(w, c):
-            sizes.append(math.prod(np.broadcast_shapes(c.shape[2:], w.shape[1:])))
-            return real(w, c)
-
-        monkeypatch.setattr(series_mod, "_horner", counting)
-        return sizes
-
-    @pytest.mark.parametrize("alpha", [0.5, 10.0, 45.0])
-    def test_sweep_row_evaluates_under_a_quarter(self, monkeypatch, alpha):
-        sizes = self._points_per_call(monkeypatch)
-        deviation_grid((alpha, alpha, 1), (1.0, 9.99, 40), B10, 1e-3)
-        assert len(sizes) == 2
-        assert sum(sizes) < 0.25 * 40 * 1001
-
-    def test_row_that_bound_cannot_prune_makes_one_full_call(self, monkeypatch):
-        """Such a row (alpha = 1e5, M = 341) is one batched inverse FFT, with no Horner step."""
-        m = certified_cutoff(1e5, B10, 1e-3).cutoff_m
-        _, lipschitz = _cdf_tails(1e5, B10, [0.0], m)
-        assert lipschitz * float(np.diff(_ZS[_ENDS]).max()) / 2.0 >= 1.0
-        sizes = self._points_per_call(monkeypatch)
-        real, shapes = np.fft.ifft, []
+        horner, shapes, real = [], [], np.fft.irfft
 
         def counting(*args, **kwargs):
             out = real(*args, **kwargs)
             shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(np.fft, "ifft", counting)
-        deviation_grid((1e5, 1e5, 1), (1.0, 9.99, 40), B10, 1e-3)
-        assert sizes == []
+        monkeypatch.setattr(series_mod, "_horner", lambda *args: horner.append(args))
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        deviation_grid((alpha, alpha, 1), (1.0, 9.99, 40), B10, 1e-3)
+        assert horner == []
         assert shapes == [(40, 1000)]
 
-
-def _fft_rounding_bound(d, n):
-    """The bound e of analysis._grid_deviation on each computed |D| of the
-    FFT branch, per column of the tail sums d, for a grid of n + 1 points."""
-    u = 2.0 ** -53
-    t = 2 * math.ceil(math.log2(n)) + 2
-    gamma = t * 8 * u / (1 - t * 8 * u)
-    k = math.ceil(len(d) / n)
-    return (4 * math.sqrt(n) * gamma + (102 + 4 * k) * u) * np.abs(d).sum(axis=(0, 1))
-
-
-class TestFftRows:
-    """Rows with a cutoff of at least _FFT_CUTOFF evaluate every grid point by one
-    inverse FFT per column."""
-
-    @pytest.mark.parametrize("alpha", [100.0, 3000.0, 1e5])
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 45.0, 100.0, 3000.0, 1e5])
     @pytest.mark.parametrize("base_int", [2, 10, 36])
-    def test_rounding_against_mpmath(self, monkeypatch, alpha, base_int):
+    def test_rounding_against_mpmath(self, alpha, base_int):
         """D against a 40-digit sum of the same table entries and phase at
-        z = n / 1000 exactly, for every cutoff (base 2 at alpha = 100 has M = 7)."""
-        monkeypatch.setattr(analysis_mod, "_FFT_CUTOFF", 2)
+        z = n / 1000 exactly: at the sweep's epsilon 1e-3 below alpha = 100
+        (M = 1 to 12, every sweep row's kernel) and at epsilon 1e-8 from
+        there on (M = 7 to 975)."""
         base = BaseConfig(base_int)
+        eps = 1e-3 if alpha < 100.0 else 1e-8
         theta = log_mod_1(2.9, base)
-        m = certified_cutoff(alpha, base, 1e-8).cutoff_m
-        d, _ = _cdf_tails(alpha, base, [theta], m)
-        got = analysis_mod._grid_deviation(_ZS, *_unit_points(_ZS), d)[0]
+        m = certified_cutoff(alpha, base, eps).cutoff_m
+        c = _cdf_coefficients(alpha, base, [theta], m)
+        got = analysis_mod._grid_deviation(_ZS.size, c)[0]
         ns = range(0, 1001, 20)
         table = _gamma_ratio_table(alpha, base, m)
         exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
         err = max(abs(got[n] - abs(ref - n / 1000)) for n, ref in zip(ns, exact))
         assert err <= 4e-15
-        assert err <= _fft_rounding_bound(d, 1000)[0]
+        assert err <= _fft_rounding_bound(c, 1000)[0]
 
-    @pytest.mark.parametrize("alpha", [3000.0, 1e5])
+    @pytest.mark.parametrize("alpha", [3.3, 3000.0, 1e5])
     def test_argmax_attains_max_exactly_as_evaluated(self, alpha):
         p = InvGammaParams(alpha, 2.2)
         report = max_deviation(p, B10, 1e-8)
-        assert report.cutoff_m >= analysis_mod._FFT_CUTOFF
-        d, _ = _cdf_tails(alpha, B10, [log_mod_1(p.beta, B10)], report.cutoff_m)
-        dev = analysis_mod._grid_deviation(_ZS, *_unit_points(_ZS), d)[0]
+        assert report.cutoff_m == certified_cutoff(alpha, B10, 1e-8).cutoff_m
+        c = _cdf_coefficients(alpha, B10, [log_mod_1(p.beta, B10)], report.cutoff_m)
+        dev = analysis_mod._grid_deviation(report.grid_points, c)[0]
         idx = int(np.argmax(dev))
         assert _ZS[idx] == report.argmax_z
         assert dev[idx] == report.max_dev
 
     @pytest.mark.parametrize("grid_points", [101, 102])
     def test_folded_cutoff_above_grid_length(self, grid_points):
-        """At alpha = 1e5 (M = 627) the tail sums fold onto N = 100 and N = 101
-        (a prime) bins.  The same points from an unfolded transform of length
-        7 N agree within both transforms' stated bounds, and Horner's rule at
-        the rounded z within those plus its own bound (_block_bounds) and the
-        slope L times the rounding of z."""
+        """At alpha = 1e5 (M = 627) the coefficients fold onto N = 100 and
+        N = 101 (a prime) bins.  The same points from an unfolded transform of
+        length 7 N agree within both transforms' stated bounds, and Horner's
+        rule at the rounded z within those plus its own bound."""
         n = grid_points - 1
         m = certified_cutoff(1e5, B10, 1e-8).cutoff_m
-        assert m - 1 > n
+        assert m > n
         thetas = [log_mod_1(beta, B10) for beta in (1.0, 2.2, 7.7)]
-        d, lipschitz = _cdf_tails(1e5, B10, thetas, m)
+        c = _cdf_coefficients(1e5, B10, thetas, m)
+        folded = analysis_mod._grid_deviation(grid_points, c)
+        unfolded = analysis_mod._grid_deviation(7 * n + 1, c)[:, ::7]
+        fft_bound = _fft_rounding_bound(c, n)[:, None]
+        assert np.all(np.abs(folded - unfolded) <= fft_bound + _fft_rounding_bound(c, 7 * n)[:, None])
         zs = np.linspace(0.0, 1.0, grid_points)
-        folded = analysis_mod._grid_deviation(zs, *_unit_points(zs), d)
-        fine = np.linspace(0.0, 1.0, 7 * n + 1)
-        unfolded = analysis_mod._grid_deviation(fine, *_unit_points(fine), d)[:, ::7]
-        fft_bound = _fft_rounding_bound(d, n)[:, None]
-        fine_bound = _fft_rounding_bound(d, 7 * n)[:, None]
-        assert np.all(np.abs(folded - unfolded) <= fft_bound + fine_bound)
-        u, terms = 2.0 ** -53, 44 * m + 25
-        horner_bound = terms * u / (1 - terms * u) * (1 + 4 * np.abs(d).sum(axis=(0, 1)))
         horner = np.abs(_cdf_rows(zs, 1e5, thetas, m, B10) - zs)
-        assert np.all(np.abs(folded - horner) <= fft_bound + horner_bound[:, None] + lipschitz * u)
+        horner_bound = _horner_rounding_bound(1e5, B10, thetas, m)[:, None]
+        assert np.all(np.abs(folded - horner) <= fft_bound + horner_bound)
         report = max_deviation(InvGammaParams(1e5, 2.2), B10, 1e-8, grid_points)
         assert report.max_dev == folded[1].max()
 

@@ -95,8 +95,8 @@ def corpus():
                  "--points", "101", "--format", "json"])
     runs.append(_grid("10", ("1000", "3000", "3"), ("1", "9.99", "5"), "--epsilon", "1e-8",
                       "--format", "json"))
-    # rows on both sides of the FFT cutoff (M = 7, 8, 10 and 11), and a cutoff of 627
-    # folded onto a grid of N = 101 (a prime) points
+    # rows of 40 columns at M = 7, 8, 10 and 11, and a cutoff of 627 folded onto a grid
+    # of N = 101 (a prime) points
     runs.append(_grid("10", ("5", "20", "4"), ("1", "9.99", "40"), "--epsilon", "1e-8",
                       "--format", "json"))
     runs.append(["deviation", "--alpha", "1e5", "--beta", "2.2", "--epsilon", "1e-8",
@@ -109,7 +109,10 @@ def corpus():
     runs.append(["verify", "--alpha", "2.7", "--beta", "3e-310", "--base", "3"])
     runs.append(_grid("7", ("0.5", "20", "3"), ("1e-300", "1e300", "7"), "--epsilon", "1e-12"))
     runs.append(_grid("36", ("0.5", "20", "3"), ("3e-321", "7e-310", "7"), "--epsilon", "1e-12"))
-    # wide rows, bracketed, at the ends of the alpha and beta ranges
+    # a sweep row (M = 8) in JSON, so that every digit of its 40 maxima is compared
+    runs.append(_grid("10", ("45", "45", "1"), ("1", "9.99", "40"), "--epsilon", "1e-3",
+                      "--format", "json"))
+    # 40-column rows at the ends of the alpha and beta ranges
     for base, eps in (("2", "1e-12"), ("36", "1e-12"), ("10", "1e-8")):
         runs.append(_grid(base, ("1e-6", "3000", "5"), ("5e-324", "1e300", "40"),
                           "--epsilon", eps, "--format", "json"))
