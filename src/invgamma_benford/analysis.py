@@ -104,7 +104,7 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
     idx = int(np.argmax(dev))
     return DeviationReport(
         max_dev=float(dev[idx]),
-        argmax_z=float(np.linspace(0.0, 1.0, grid_points)[idx]),
+        argmax_z=idx / (grid_points - 1),
         epsilon=trunc.epsilon,
         grid_points=grid_points,
         cutoff_m=trunc.cutoff_m,

@@ -9,8 +9,18 @@ without synchronization.  Accuracy targets (validated by the test suite):
   series to 1e-13 of the largest of them for alpha up to 1e5.
 * ``exp(complex_log_gamma(w))`` reproduces Gamma(w) to at least 12
   significant digits for Re w in [0.05, 200], |Im w| <= 500.
-* ``regularized_upper_gamma`` is accurate to ~1e-13 relative over
-  shape parameters in [0.05, 200].
+* ``regularized_upper_gamma`` is accurate to 1e-13 relative over shape
+  parameters in [0.05, 200], plus the rounding of its exponent
+  alpha ln x - x - ln Gamma(alpha), 2^-52 (|alpha ln x| + x + |ln Gamma(alpha)|)
+  relative (up to about 2e-13 where x and alpha are in the hundreds).
+
+``regularized_upper_gamma`` takes arrays: alpha and x broadcast together,
+and the power series and the continued fraction each run over all of
+their elements at once, each element stopping at its own tolerance.  So
+an element equals the scalar call at its alpha and x bit for bit.  Below
+x = 2^-53 (alpha + 1) / alpha, P(alpha, x) = x^alpha / Gamma(alpha + 1) to
+double precision; the direct-summation oracle sums those terms in closed
+form instead of calling this function for them.
 """
 
 import math
@@ -105,70 +115,138 @@ def complex_log_gamma(w: complex) -> complex:
     return math.lgamma(w.real) + complex(_log_gamma_ratio(w.real, w.imag))
 
 
-def _lower_series(alpha: float, x: float, tol: float) -> float:
-    """Power series for P(alpha, x) * Gamma(alpha) * x^-alpha * e^x; x < alpha+1."""
-    term = 1.0 / alpha
+def _drop(keep, *values):
+    """The values at keep (a mask or indices); a scalar, the same for every
+    element, passes through."""
+    return [v[keep] if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _first_hits(done):
+    """For a (steps, elements) array of convergence flags: the elements that
+    converged within these steps, and the step at which each first did."""
+    first = done.argmax(axis=0)
+    hit = np.flatnonzero(done[first, np.arange(done.shape[1])])
+    return hit, first[hit]
+
+
+def _blocks():
+    """(steps taken before, steps in this block) for the expansions: blocks of
+    4, 8, 16, ... steps, then of 1024, until 10,000 steps are taken."""
+    n, size = 0, 4
+    while n < 10_000:
+        yield n, size
+        n, size = n + size, min(2 * size, 1024)
+
+
+def _lower_series(alpha, x, tol: float):
+    """Power series for P(alpha, x) * Gamma(alpha) * x^-alpha * e^x; x < alpha+1.
+
+    Elementwise over a 1-d array x and a scalar or matching alpha.  Term n
+    is term n-1 times x / (alpha + n), and each element's value is its
+    running total at its first term below tol of that total (every term is
+    positive).  The terms are formed a block at a time, by a cumulative
+    product and sum, which take them in order; finished elements are then
+    dropped.  The blocks double, so most elements, which finish within a
+    few terms, take few, and a slow one costs a few numpy calls per
+    doubling."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    term = np.broadcast_to(1.0 / alpha, x.shape)
     total = term
-    n = alpha
-    for _ in range(10_000):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * tol:
-            return total
-    raise ArithmeticError(f"incomplete gamma series failed to converge at alpha={alpha}, x={x}")
+    for n, size in _blocks():
+        ratio = x / (alpha + np.arange(n + 1.0, n + size + 1.0)[:, None])
+        terms = np.cumprod(np.vstack([term, ratio]), axis=0)[1:]
+        totals = np.cumsum(np.vstack([total, terms]), axis=0)[1:]
+        hit, at = _first_hits(terms < totals * tol)
+        out[live[hit]] = totals[at, hit]
+        keep = np.ones(live.size, dtype=bool)
+        keep[hit] = False
+        if not keep.any():
+            return out
+        live, alpha, x, term, total = _drop(keep, live, alpha, x, terms[-1], totals[-1])
+    a0, x0 = (float(np.ravel(v)[0]) for v in (alpha, x))
+    raise ArithmeticError(f"incomplete gamma series failed to converge at alpha={a0}, x={x0}")
 
 
-def _upper_cont_frac(alpha: float, x: float, tol: float) -> float:
-    """Modified-Lentz continued fraction for Q(alpha, x) * Gamma(alpha) * x^-alpha * e^x."""
-    tiny = 1e-300
+def _upper_cont_frac(alpha, x, tol: float):
+    """Lentz's continued fraction for Q(alpha, x) * Gamma(alpha) * x^-alpha * e^x;
+    x >= alpha + 1.
+
+    With b_i = x + 2i + 1 - alpha and a_i = -i (i - alpha), Lentz's
+    denominators c_i = b_i + a_i / c_(i-1) (c_0 = 1e300) and 1/d_i = e_i =
+    b_i + a_i / e_(i-1) (e_0 = b_0) follow one recurrence, so both are run
+    as one (2, n) array, a block of steps at a time as in _lower_series;
+    h = d_0 prod_i c_i / e_i is formed by a cumulative product.  Each
+    element's value is h at its first step c_i / e_i within tol of 1.
+    Both denominators stay at least x - alpha + i >= 1 (where a_i < 0,
+    i (i - alpha) / (x - alpha + i - 1) < i), so neither needs the usual
+    guard against zero."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     b = x + 1.0 - alpha
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - alpha)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return h
-    raise ArithmeticError(f"incomplete gamma fraction failed to converge at alpha={alpha}, x={x}")
+    ec = np.stack([b, np.full_like(x, 1e300)])
+    h = 1.0 / b
+    for n, size in _blocks():
+        bs = b + 2.0 * np.arange(n + 1.0, n + size + 1.0)[:, None]
+        steps = np.empty((size,) + ec.shape)
+        for j in range(size):
+            i = n + j + 1
+            ec = np.add(bs[j], -i * (i - alpha) / ec, out=steps[j])
+        delta = steps[:, 1] / steps[:, 0]
+        hs = np.cumprod(np.vstack([h[None], delta]), axis=0)[1:]
+        hit, at = _first_hits(np.abs(delta - 1.0) < tol)
+        out[live[hit]] = hs[at, hit]
+        keep = np.ones(live.size, dtype=bool)
+        keep[hit] = False
+        if not keep.any():
+            return out
+        live, alpha, x, b, h = _drop(keep, live, alpha, x, b, hs[-1])
+        ec = ec[:, keep]
+    a0, x0 = (float(np.ravel(v)[0]) for v in (alpha, x))
+    raise ArithmeticError(f"incomplete gamma fraction failed to converge at alpha={a0}, x={x0}")
 
 
-def regularized_upper_gamma(alpha: float, x: float, *, tol: float = 1e-15) -> float:
-    """Regularized upper incomplete gamma Q(alpha, x) = Gamma(alpha, x)/Gamma(alpha).
+def regularized_upper_gamma(alpha, x, *, tol: float = 1e-15):
+    """Regularized upper incomplete gamma Q(alpha, x) = Gamma(alpha, x)/Gamma(alpha),
+    elementwise over alpha and x broadcast together.
 
     Monotone non-increasing in x with Q(alpha, 0) = 1 and Q(alpha, inf) = 0.
-    Uses the lower power series for x < alpha + 1 and the continued fraction
-    otherwise.  Once e^(alpha*log x - x - lgamma(alpha)) underflows, the
-    result is an exact 0.0 (or 1.0 on the series side) rather than a
-    subnormal.
+    Uses the lower power series where x < alpha + 1 and the continued
+    fraction elsewhere, each run over all of its elements at once.  Once
+    e^(alpha*log x - x - lgamma(alpha)) underflows, the result is an exact
+    0.0 (or 1.0 on the series side) rather than a subnormal.  Scalar alpha
+    and x give a float, anything else an array of the broadcast shape.
+    Every element is computed on its own, so it equals the scalar call at
+    its alpha and x bit for bit.
 
     Raises:
         ValueError: on alpha <= 0, x < 0, or NaN input.
     """
-    alpha = float(alpha)
-    x = float(x)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"shape parameter must be positive and finite, got {alpha!r}")
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    ax = alpha * math.log(x) - x - math.lgamma(alpha)
-    if ax < _EXP_UNDERFLOW:
-        return 1.0 if x < alpha + 1.0 else 0.0
-    if x < alpha + 1.0:
-        p = math.exp(ax) * _lower_series(alpha, x, tol)
-        return 1.0 - p
-    return math.exp(ax) * _upper_cont_frac(alpha, x, tol)
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(x))
+    a = np.asarray(alpha, dtype=float)
+    xs = np.ravel(np.broadcast_to(np.asarray(x, dtype=float), shape))
+    bad = ~(np.isfinite(a) & (a > 0.0))
+    if bad.any():
+        raise ValueError(f"shape parameter must be positive and finite, got {float(a[bad][0])!r}")
+    bad = np.isnan(xs) | (xs < 0.0)
+    if bad.any():
+        raise ValueError(f"argument must be non-negative, got {float(xs[bad][0])!r}")
+    if a.ndim == 0:  # one shape: scalar arithmetic in the expansions too
+        a = float(a)
+        lgam = math.lgamma(a)
+    else:
+        a = np.ravel(np.broadcast_to(a, shape))
+        lgam = np.array([math.lgamma(v) for v in a.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax = a * np.log(xs) - xs - lgam
+    ax[np.isinf(xs)] = -np.inf  # Q(a, 0) = 1 and Q(a, inf) = 0 take the underflow values
+    lower = xs < a + 1.0
+    q = np.where(lower, 1.0, 0.0)
+    live = ax >= _EXP_UNDERFLOW
+    at = np.flatnonzero(live & lower)
+    if at.size:
+        q[at] = 1.0 - np.exp(ax[at]) * _lower_series(*_drop(at, a, xs), tol)
+    at = np.flatnonzero(live & ~lower)
+    if at.size:
+        q[at] = np.exp(ax[at]) * _upper_cont_frac(*_drop(at, a, xs), tol)
+    return float(q[0]) if shape == () else q.reshape(shape)

@@ -42,3 +42,25 @@ def cdf(alpha, base, betas, zs):
         while not ratios or abs(ratios[-1]) >= mpmath.exp(-120):
             ratios.append(gamma_ratio(alpha, 2 * mpmath.pi * (len(ratios) + 1) / lb))
         return [series_sum(ratios, mpmath.log(beta) / lb, zs) for beta in betas]
+
+
+def oracle_sum(alpha, beta, base, z, k_range):
+    """The direct sum F_B(z) = sum_{k=-K}^{K} P(a, beta B^-k) - P(a, beta B^-(k+z))
+    (P the regularized lower incomplete gamma function, mpmath's gammainc)
+    for beta the canonical scale in [1, B) and K = k_range, as a float.
+
+    Each P is taken at 50 digits, so each difference keeps 40 where it
+    cancels down to 1e-10 of its edges.  Terms whose smaller edge
+    beta B^-(k+z) exceeds 1e4 are left out: for alpha <= 100 each is below
+    Q(alpha, 1e4) < e^-9000.
+    """
+    with mpmath.workdps(50):
+        a, b, bb = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(base)
+        shrink = bb ** -mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for k in range(-k_range, k_range + 1):
+            x = b * bb ** -k
+            if x * shrink <= 10_000:
+                total += (mpmath.gammainc(a, 0, x, regularized=True)
+                          - mpmath.gammainc(a, 0, x * shrink, regularized=True))
+        return float(total)

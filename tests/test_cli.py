@@ -196,6 +196,24 @@ class TestVerifyCommand:
         assert checks["ks_distance"]["value"] <= 0.005
         assert checks["ks_distance"]["passed"] is True
 
+    @pytest.mark.parametrize("alpha", ["1e-6", "1e-5", "1e-3", "0.01"])
+    @pytest.mark.parametrize("base", ["2", "10"])
+    def test_small_shapes_pass(self, capsys, alpha, base):
+        """The oracle keeps the mass of X above the double range, so the
+        series and both windows agree at small shapes."""
+        code, out, _ = run_cli(capsys, "verify", "--alpha", alpha, "--beta", "1", "--base", base)
+        assert code == 0
+        checks = json.loads(out)["payload"]["checks"]
+        assert checks["series_vs_oracle"]["value"] <= 1e-9
+        assert checks["oracle_k_convergence"]["value"] <= 1e-15
+
+    def test_small_shape_sampling_fails_loudly(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--alpha", "1e-3", "--beta", "1",
+                                 "--samples", "1000")
+        assert (code, out) == (3, "")
+        assert err.startswith("invgamma-benford verify: ArithmeticError: ")
+        assert err.count("\n") == 1
+
     def test_negative_alpha_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--alpha", "-1", "--beta", "1")
         assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import mp_reference
 from invgamma_benford.benford import BaseConfig, log_mod_1_array
 from invgamma_benford.oracle import (
     OracleConfig,
@@ -28,6 +29,7 @@ from invgamma_benford.series import (
     fb_cdf_series_values,
     truncation_cutoff,
 )
+from invgamma_benford.special import regularized_upper_gamma
 
 B10 = BaseConfig(10)
 
@@ -92,35 +94,104 @@ class TestOracle:
     def test_window_helper_defaults_to_sixty(self):
         assert oracle_window(InvGammaParams(2.0, 3.0), B10) == 60
 
-    def test_sum_skips_terms_outside_the_double_range(self, monkeypatch):
+    def test_incomplete_gamma_elements_stay_few_at_tiny_shapes(self, monkeypatch):
         """At alpha = 1e-6 in base 2 the window has ~5e7 k on each side, but
-        only the ~2,100 k where 2^-k is a nonzero double can carry mass."""
+        only the transition range, 46 k, reaches the incomplete gamma
+        function: past it the terms are exact zeros or summed in closed form."""
         import invgamma_benford.oracle as oracle_mod
 
         real = oracle_mod.regularized_upper_gamma
-        calls = 0
+        elements = []
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            if calls > 10_000:
-                raise AssertionError("more than 10,000 incomplete-gamma calls")
-            return real(*args, **kwargs)
+        def counted(alpha, x, **kwargs):
+            elements.append(np.size(x))
+            return real(alpha, x, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "regularized_upper_gamma", counted)
         p = InvGammaParams(1e-6, 1.0)
         b2 = BaseConfig(2)
         k = oracle_window(p, b2)
         assert k > 5 * 10 ** 7
-        fb_cdf_oracle(0.5, p, b2, OracleConfig(k_range=k))
+        for zs in ([0.5], np.linspace(0.0, 1.0, 21)):
+            elements.clear()
+            fb_cdf_oracle_values(zs, p, b2, OracleConfig(k_range=k))
+            assert len(elements) == 1
+            assert 0 < elements[0] <= 200 * len(zs)
 
-    def test_window_past_the_double_range_changes_nothing(self):
+    def test_window_past_the_double_range_agrees(self):
+        """B^-1603 underflows, but the terms past it still carry mass
+        (10^(-16 z) at alpha = 0.01) and are summed, not dropped."""
         p = InvGammaParams(0.01, 1.0)
         assert oracle_window(p, B10) == 1603
         for z in (0.0, 0.3, 0.7, 1.0):
             a = fb_cdf_oracle(z, p, B10, OracleConfig(k_range=1603))
             b = fb_cdf_oracle(z, p, B10, OracleConfig(k_range=4000))
-            assert a.hex() == b.hex()
+            assert abs(a - b) <= 1e-15
+            assert b - a >= 0.0
+
+    @pytest.mark.parametrize("alpha,beta,base,k1,k2", [
+        (0.05, 2.5, 10, 30, 300), (0.01, 1.0, 2, 60, 1000), (1e-3, 7.0, 16, 80, 250)])
+    def test_closed_form_part_matches_explicit_terms(self, alpha, beta, base, k1, k2):
+        """Widening the window from K1 to K2, both past the transition range
+        and with B^-K2 still a normal double, adds only closed-form terms.
+        Their sum must match the same k summed one by one through
+        regularized_upper_gamma, within the closed form's bound (3e-16) plus
+        the rounding of each explicit Q difference (four units of 2^-53
+        each, as Q = 1 - P rounds to an ulp of 1)."""
+        p, b = InvGammaParams(alpha, beta), BaseConfig(base)
+        bb = float(base)
+        x = beta * bb ** -np.arange(k1 + 1, k2 + 1, dtype=float)
+        for z in (0.3, 0.7, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OracleTailWarning)
+                added = (fb_cdf_oracle(z, p, b, OracleConfig(k_range=k2))
+                         - fb_cdf_oracle(z, p, b, OracleConfig(k_range=k1)))
+            terms = (regularized_upper_gamma(alpha, x * bb ** -z, tol=1e-15)
+                     - regularized_upper_gamma(alpha, x, tol=1e-15))
+            explicit = math.fsum(terms.tolist())
+            assert explicit > 1e-3
+            bound = 3e-16 + (k2 - k1) * 4 * 2.0 ** -53 + 4 * 2.0 ** -53
+            assert abs(added - explicit) <= bound
+
+    def test_truncated_window_shows_its_tail_mass(self):
+        """At alpha = 1e-3 in base 10 about half the mass lies past k = 300,
+        where B^-k is still a double but the old sum stopped at its range;
+        K = 300 must now read visibly below the converged window."""
+        p = InvGammaParams(1e-3, 1.0)
+        with pytest.warns(OracleTailWarning):
+            narrow = fb_cdf_oracle(0.5, p, B10, OracleConfig(k_range=300))
+        full = fb_cdf_oracle(0.5, p, B10, OracleConfig(k_range=oracle_window(p, B10)))
+        assert full - narrow > 1e-3
+        assert full == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-3, 0.01])
+    @pytest.mark.parametrize("base", [2, 10])
+    def test_matches_series_at_small_shapes(self, alpha, base):
+        """At epsilon = 1e-12 the series and the oracle at its window agree
+        to 1e-10 at verify's 21 points."""
+        p, b = InvGammaParams(alpha, 1.0), BaseConfig(base)
+        zs = np.linspace(0.0, 1.0, 21)
+        series = fb_cdf_series_values(zs, p, b, certified_cutoff(alpha, b, 1e-12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OracleTailWarning)
+            oracle = fb_cdf_oracle_values(zs, p, b, OracleConfig(k_range=oracle_window(p, b)))
+        assert np.max(np.abs(series - oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha,beta,base,z,k_range", [
+        (1e-3, 1.0, 10, 0.5, 300),  # closed form: k in [13, 300], 0.235 of 0.250
+        (0.017, 3.7, 10, 0.3, None),  # closed form about half of F
+        (0.017, 1.0, 2, 0.7, 600),
+        (0.5, 2.0, 10, 0.4, None),
+    ])
+    def test_matches_40_digit_direct_sum(self, alpha, beta, base, z, k_range):
+        """Against mpmath's regularized incomplete gamma summed term by term
+        over the same window; 1e-12 is the oracle's stated accuracy."""
+        p, b = InvGammaParams(alpha, beta), BaseConfig(base)
+        k = k_range or oracle_window(p, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OracleTailWarning)
+            got = fb_cdf_oracle(z, p, b, OracleConfig(k_range=k))
+        assert abs(got - mp_reference.oracle_sum(alpha, beta, base, z, k)) <= 1e-12
 
     def test_matches_series_within_certificate_on_acceptance_grid(self):
         eps = 1e-8
@@ -171,6 +242,19 @@ class TestSampler:
         assert np.array_equal(a.values, b.values)
         c = sample_invgamma(p, 5000, 43)
         assert not np.array_equal(a.values, c.values)
+
+    def test_tiny_variates_fail_loudly(self):
+        """At alpha = 1e-3 about half the gamma variates fall below 1e-290;
+        the sampler fails instead of conditioning the sample on X < beta 1e290."""
+        with pytest.raises(ArithmeticError, match=r"of the gamma variates at shape 0\.001"):
+            sample_invgamma(InvGammaParams(1e-3, 1.0), 1000, 1)
+
+    def test_stream_is_plain_standard_gamma(self):
+        """At alpha = 0.05 a tiny draw has probability about 3e-15, and the
+        batch is beta / G for the generator's first n variates."""
+        p = InvGammaParams(0.05, 2.0)
+        g = np.random.Generator(np.random.PCG64(8)).standard_gamma(0.05, 100_000)
+        assert np.array_equal(sample_invgamma(p, 100_000, 8).values, 2.0 / g)
 
     def test_empirical_cdf_shape_one(self):
         batch = sample_invgamma(InvGammaParams(1.0, 1.0), 10 ** 5, 7)

@@ -6,7 +6,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.special import loggamma as scipy_loggamma
 
 from invgamma_benford.special import complex_log_gamma, regularized_upper_gamma
@@ -124,5 +127,44 @@ class TestRegularizedUpperGamma:
     @pytest.mark.parametrize("alpha,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
                                          (math.nan, 1.0), (1.0, math.nan)])
     def test_domain_errors(self, alpha, x):
+        with pytest.raises(ValueError):
+            regularized_upper_gamma(alpha, x)
+
+
+class TestRegularizedUpperGammaArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(math.log(0.05), math.log(200.0)),
+                                    st.floats(-30.0, 6.0)), min_size=1, max_size=40))
+    def test_matches_scipy_and_its_scalar_calls(self, pairs):
+        """Relative error within 1e-13 plus the rounding of the exponent
+        alpha ln x - x - ln Gamma(alpha), and every element equal to its own
+        scalar call bit for bit."""
+        alpha = np.exp([a for a, _ in pairs])
+        x = alpha * np.exp([r for _, r in pairs])
+        got = regularized_upper_gamma(alpha, x)
+        ref = gammaincc(alpha, x)
+        exponent = (np.abs(alpha * np.log(x)) + x
+                    + np.abs([math.lgamma(a) for a in alpha.tolist()]))
+        assert np.all(np.abs(got - ref) <= ref * (1e-13 + 2.0 ** -52 * exponent) + 1e-300)
+        assert [regularized_upper_gamma(a, v) for a, v in zip(alpha.tolist(), x.tolist())] \
+            == got.tolist()
+
+    def test_one_shape_over_an_array(self):
+        x = np.array([[0.0, 0.5, 1.5], [3.0, 40.0, math.inf]])
+        got = regularized_upper_gamma(1.0, x)
+        assert got.shape == (2, 3)
+        assert got[0, 0] == 1.0 and got[1, 2] == 0.0
+        assert np.allclose(got.ravel()[1:5], np.exp(-x.ravel()[1:5]), rtol=1e-14)
+        assert [regularized_upper_gamma(1.0, v) for v in x.ravel().tolist()] == got.ravel().tolist()
+        assert regularized_upper_gamma(np.full(3, 1.0), x[0]).tolist() == got[0].tolist()
+
+    def test_scalars_give_a_float(self):
+        assert type(regularized_upper_gamma(2.0, 1.0)) is float
+        assert type(regularized_upper_gamma(np.float64(2.0), np.array(1.0))) is float
+        assert regularized_upper_gamma(2.0, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("alpha,x", [(-1.0, np.zeros(0)), (np.array([1.0, 0.0]), 1.0),
+                                         (1.0, np.array([1.0, math.nan]))])
+    def test_array_domain_errors(self, alpha, x):
         with pytest.raises(ValueError):
             regularized_upper_gamma(alpha, x)

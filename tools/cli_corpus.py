@@ -122,6 +122,10 @@ def corpus():
     runs.append(["verify", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     runs.append(["sample", "--alpha", "2", "--beta", "3", "--base", "1" + "0" * 400])
     runs.append(["sample", "--alpha", "1e-5", "--beta", "1", "--n", "1000"])
+    # small shapes, where about half the mass of X lies beyond the double range
+    runs.append(["verify", "--alpha", "1e-3", "--beta", "1"])
+    runs.append(["verify", "--alpha", "1e-6", "--beta", "1", "--base", "2"])
+    runs.append(["sample", "--alpha", "1e-3", "--beta", "1", "--n", "100"])
     return runs
 
 
