@@ -85,6 +85,15 @@ def _as_unit_interval(z) -> float:
     return fz
 
 
+def _as_unit_interval_array(zs) -> np.ndarray:
+    """zs as a float array, every value in [0, 1]; the ValueError names the first that is not."""
+    arr = np.asarray(zs, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))  # nan fails both comparisons
+    if bad.any():
+        raise ValueError(f"z must lie in [0, 1], got {float(arr[bad][0])!r}")
+    return arr
+
+
 def decompose_significand(x, base: BaseConfig) -> SignificandDecomposition:
     """Split x > 0 into significand in [1, B) and integer exponent.
 

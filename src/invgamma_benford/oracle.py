@@ -19,12 +19,12 @@ import numpy as np
 from .benford import (
     BaseConfig,
     _as_int,
-    _as_unit_interval,
+    _as_unit_interval_array,
     decompose_significand,
     log_mod_1,
     log_mod_1_array,
 )
-from .series import InvGammaParams, TruncationSpec, _cdf_residual, _cdf_tails, _cdf_values
+from .series import InvGammaParams, TruncationSpec, _cdf_coefficients, _cdf_residual, _cdf_values
 from .special import _EXP_UNDERFLOW, regularized_upper_gamma
 
 __all__ = [
@@ -152,7 +152,7 @@ def _oracle_sums(zs, params: InvGammaParams, base: BaseConfig, cfg: OracleConfig
       by B per k from 2^-53 (1 + 2^-53 (a + 1)/a^2) at k0, so the closed
       form is off the exact terms by under 3e-16 for alpha >= 1e-6.
     """
-    zs = np.array([_as_unit_interval(z) for z in zs], dtype=float)
+    zs = _as_unit_interval_array(zs)
     a = params.alpha
     b = decompose_significand(params.beta, base).significand
     bb = float(base.base)
@@ -257,9 +257,9 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     """
     frac = np.sort(log_mod_1_array(batch.values, base))
     n = frac.size
-    d = _cdf_tails(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
+    c = _cdf_coefficients(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
     ends = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
-    f_ends = _cdf_values(frac[ends], d)[0]
+    f_ends = _cdf_values(frac[ends], c)[0]
     best = _largest_gap(ends, f_ends, n)
     # The truncated F falls below monotone by at most twice its truncation
     # error.  The floor covers the rounding of F and of the gaps, and the
@@ -270,7 +270,7 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     hi = np.minimum(lo + _KS_BLOCK, n)
     upper = np.maximum(hi / n - f_ends[:-1], f_ends[1:] - lo / n) + slack
     idx = np.flatnonzero(np.repeat(upper >= best, hi - lo))
-    return max(best, _largest_gap(idx, _cdf_values(frac[idx], d)[0], n))
+    return max(best, _largest_gap(idx, _cdf_values(frac[idx], c)[0], n))
 
 
 def _largest_gap(idx, model, n: int) -> float:

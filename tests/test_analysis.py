@@ -8,19 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invgamma_benford.analysis as analysis_mod
-from invgamma_benford.analysis import (
-    DeviationGridError,
-    deviation_grid,
-    first_digit_probs,
-    max_deviation,
-)
+from invgamma_benford import cli
+from invgamma_benford.analysis import deviation_grid, first_digit_probs, max_deviation
 from invgamma_benford.benford import BaseConfig, benford_digit_prob, log_mod_1
 from invgamma_benford.series import (
     InvGammaParams,
     _cdf_coefficients,
-    _cdf_rows,
-    _cdf_tails,
+    _cdf_values,
     _gamma_ratio_table,
+    _grid_deviation,
     certified_cutoff,
     fb_prime_series_values,
     truncation_cutoff,
@@ -122,22 +118,43 @@ class TestDeviationGrid:
         for row in grid.dev:
             assert float(row.max() - row.min()) < span
 
-    def test_cell_errors_carry_coordinates(self, monkeypatch):
-        """A failure in one cell's own step (its phase) names that cell's alpha and beta."""
-        import invgamma_benford.analysis as analysis_mod
+    def test_row_errors_keep_their_type(self, monkeypatch, capsys):
+        """An ArithmeticError of a row reaches the caller as it was raised, and
+        grid turns it into exit 3 with one stderr line and empty stdout."""
 
-        real_phase = analysis_mod.log_mod_1
-        row = []
+        class Synthetic(ArithmeticError):
+            pass
 
-        def boom(x, base):
-            row.append(x)
-            if len(row) == 4:  # second row (alpha = 2), second cell (beta = 2)
-                raise ArithmeticError("synthetic cell failure")
-            return real_phase(x, base)
+        real, rows = analysis_mod._grid_deviation, []
 
-        monkeypatch.setattr(analysis_mod, "log_mod_1", boom)
-        with pytest.raises(DeviationGridError, match="cell alpha=2.0, beta=2.0: synthetic"):
-            analysis_mod.deviation_grid((1.0, 2.0, 2), (1.0, 2.0, 2), B10, 0.001)
+        def boom(points, c):
+            rows.append(points)
+            if len(rows) == 2:
+                raise Synthetic("synthetic row failure")
+            return real(points, c)
+
+        monkeypatch.setattr(analysis_mod, "_grid_deviation", boom)
+        with pytest.raises(Synthetic, match="synthetic row failure"):
+            deviation_grid((1.0, 2.0, 2), (1.0, 2.0, 2), B10, 0.001)
+        rows.clear()
+        code = cli.main(["grid", "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2",
+                         "--beta-min", "1", "--beta-max", "2", "--beta-steps", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "invgamma-benford grid: Synthetic: synthetic row failure\n"
+
+    def test_one_phase_per_beta(self, monkeypatch):
+        """The phases log_B beta mod 1 are computed once per grid, not per row."""
+        real, betas = analysis_mod.log_mod_1, []
+
+        def counting(x, base):
+            betas.append(x)
+            return real(x, base)
+
+        monkeypatch.setattr(analysis_mod, "log_mod_1", counting)
+        grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), BaseConfig(16), 1e-10)
+        assert betas == grid.beta_values.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -212,16 +229,15 @@ class TestDeviationGrid:
             assert big[:m - 1].tobytes() == _gamma_ratio_table(alpha, base, m).tobytes()
 
     def test_one_phase_call_equals_row_of_many(self):
-        from invgamma_benford.series import _cdf_rows
-
         zs = np.linspace(0.0, 1.0, 301)
         b16 = BaseConfig(16)
         thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
         for m in (9, 3, 14, 1):
-            block = _cdf_rows(zs, 0.4, thetas, m, b16)
+            block = _cdf_values(zs, _cdf_coefficients(0.4, b16, thetas, m))
             assert block.shape == (5, 301)
             for theta, row in zip(thetas, block):
-                assert np.array_equal(_cdf_rows(zs, 0.4, [theta], m, b16)[0], row)
+                one = _cdf_values(zs, _cdf_coefficients(0.4, b16, [theta], m))
+                assert np.array_equal(one[0], row)
             if m == 1:  # cutoff 1 sums no terms
                 assert np.array_equal(block, np.broadcast_to(zs, block.shape))
 
@@ -235,7 +251,7 @@ def _gamma_n(n):
 
 
 def _fft_rounding_bound(c, n):
-    """The bound e of analysis._grid_deviation on each computed |D|, per
+    """The bound e of series._grid_deviation on each computed |D|, per
     column of the CDF coefficients c, for a grid of n + 1 points."""
     t = 2 * math.ceil(math.log2(n)) + 2
     gamma = _gamma_n(8 * t)  # t eta / (1 - t eta) with eta = 8 u
@@ -247,7 +263,7 @@ def _fft_rounding_bound(c, n):
 def _horner_rounding_bound(alpha, base, thetas, m):
     """How far each |F - z| that Horner's rule (series._cdf_values) computes
     on np.linspace(0, 1, N + 1) can lie from |D| at z = n / N exactly, with D
-    summed from the same coefficients as analysis._grid_deviation sums them;
+    summed from the same coefficients as series._grid_deviation sums them;
     per column of the phases thetas.
 
     With S = sum_j |d_j| over the tail sums, the Horner steps give
@@ -259,7 +275,7 @@ def _horner_rounding_bound(alpha, base, thetas, m):
     exact ones of the c_k by sqrt(2) u |d_j| each (2 sqrt(2) u S on D), and
     the rounded z lies within 2 u of n / N, which moves D by at most 2 u L
     with L = 2 sum_k |r_k| >= |D'|."""
-    d = _cdf_tails(alpha, base, thetas, m)
+    d = np.cumsum(_cdf_coefficients(alpha, base, thetas, m)[::-1], axis=0)[::-1]
     s = np.hypot(d[:, 0], d[:, 1]).sum(axis=0)
     lipschitz = 2.0 * float(np.abs(_gamma_ratio_table(alpha, base, m)).sum())
     return _gamma_n(44 * m + 25) * (1 + 4 * s) + 3 * _U * s + 2 * _U * lipschitz
@@ -295,14 +311,14 @@ class TestFftRows:
         thetas = [log_mod_1(beta, b) for beta in betas]
         m = certified_cutoff(alpha, b, eps).cutoff_m
         c = _cdf_coefficients(alpha, b, thetas, m)
-        got = analysis_mod._grid_deviation(_ZS.size, c)
+        got = _grid_deviation(_ZS.size, c)
         for theta, row in zip(thetas, got):
-            one = analysis_mod._grid_deviation(_ZS.size, _cdf_coefficients(alpha, b, [theta], m))
+            one = _grid_deviation(_ZS.size, _cdf_coefficients(alpha, b, [theta], m))
             assert one[0].tobytes() == row.tobytes()
         assert not got[:, [0, -1]].any()  # F(0) = 0 and F(1) = 1 exactly
         if m == 1:  # no terms: F = z
             assert not got.any()
-        horner = np.abs(_cdf_rows(_ZS, alpha, thetas, m, b) - _ZS)
+        horner = np.abs(_cdf_values(_ZS, c) - _ZS)
         bound = _fft_rounding_bound(c, _ZS.size - 1) + _horner_rounding_bound(alpha, b, thetas, m)
         assert np.all(np.abs(got - horner) <= bound[:, None])
 
@@ -337,7 +353,7 @@ class TestFftRows:
         theta = log_mod_1(2.9, base)
         m = certified_cutoff(alpha, base, eps).cutoff_m
         c = _cdf_coefficients(alpha, base, [theta], m)
-        got = analysis_mod._grid_deviation(_ZS.size, c)[0]
+        got = _grid_deviation(_ZS.size, c)[0]
         ns = range(0, 1001, 20)
         table = _gamma_ratio_table(alpha, base, m)
         exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
@@ -351,7 +367,7 @@ class TestFftRows:
         report = max_deviation(p, B10, 1e-8)
         assert report.cutoff_m == certified_cutoff(alpha, B10, 1e-8).cutoff_m
         c = _cdf_coefficients(alpha, B10, [log_mod_1(p.beta, B10)], report.cutoff_m)
-        dev = analysis_mod._grid_deviation(report.grid_points, c)[0]
+        dev = _grid_deviation(report.grid_points, c)[0]
         idx = int(np.argmax(dev))
         assert report.argmax_z == idx / (report.grid_points - 1)
         assert dev[idx] == report.max_dev
@@ -367,12 +383,12 @@ class TestFftRows:
         assert m > n
         thetas = [log_mod_1(beta, B10) for beta in (1.0, 2.2, 7.7)]
         c = _cdf_coefficients(1e5, B10, thetas, m)
-        folded = analysis_mod._grid_deviation(grid_points, c)
-        unfolded = analysis_mod._grid_deviation(7 * n + 1, c)[:, ::7]
+        folded = _grid_deviation(grid_points, c)
+        unfolded = _grid_deviation(7 * n + 1, c)[:, ::7]
         fft_bound = _fft_rounding_bound(c, n)[:, None]
         assert np.all(np.abs(folded - unfolded) <= fft_bound + _fft_rounding_bound(c, 7 * n)[:, None])
         zs = np.linspace(0.0, 1.0, grid_points)
-        horner = np.abs(_cdf_rows(zs, 1e5, thetas, m, B10) - zs)
+        horner = np.abs(_cdf_values(zs, c) - zs)
         horner_bound = _horner_rounding_bound(1e5, B10, thetas, m)[:, None]
         assert np.all(np.abs(folded - horner) <= fft_bound + horner_bound)
         report = max_deviation(InvGammaParams(1e5, 2.2), B10, 1e-8, grid_points)

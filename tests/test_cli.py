@@ -372,6 +372,21 @@ class TestParserBasics:
         assert (code, out) == (3, "")
         assert err == "invgamma-benford deviation: OverflowError: math range error\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["deviation", "--alpha", "1e300", "--beta", "1"],
+        ["cdf", "--alpha", "1e300", "--beta", "1"],
+        ["verify", "--alpha", "1e300", "--beta", "1"],
+        ["grid", "--alpha-min", "1e300", "--alpha-max", "1e300", "--alpha-steps", "1",
+         "--beta-min", "1", "--beta-max", "2", "--beta-steps", "3"],
+    ])
+    def test_cutoff_out_of_reach_exits_three(self, capsys, argv):
+        """A shape whose certified cutoff exceeds 2**20 terms is refused before
+        any table is built: one stderr line and exit 3."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"invgamma-benford {argv[0]}: OverflowError: alpha=1e+300 ")
+        assert err.count("\n") == 1
+
     def test_module_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "invgamma_benford", "deviation",

@@ -81,6 +81,14 @@ class TestOracle:
         with pytest.raises(ValueError):
             fb_cdf_oracle(1.5, InvGammaParams(1.0, 1.0), B10, OracleConfig())
 
+    @pytest.mark.parametrize("values, setting", [(fb_cdf_oracle_values, OracleConfig()),
+                                                 (fb_cdf_series_values, TruncationSpec(1e-3, 5))])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
+    def test_arrays_name_the_first_bad_z(self, values, setting, bad):
+        """The oracle and the series check z arrays alike, naming the first bad value."""
+        with pytest.raises(ValueError, match=rf"^z must lie in \[0, 1\], got {bad!r}$"):
+            values([0.5, bad, 2.0], InvGammaParams(1.0, 1.0), B10, setting)
+
     def test_window_helper_silences_small_shapes(self):
         import warnings
 

@@ -33,7 +33,6 @@ MODULE_ONLY = {
     "series": ["canonicalize_beta", "truncation_cutoff", "tail_bound_general", "tail_bound_alpha1",
                "cutoff_alpha1", "fb_prime_series", "fb_prime_series_values"],
     "oracle": ["OracleConfig", "SampleBatch", "OracleTailWarning", "oracle_window"],
-    "analysis": ["DeviationGridError"],
 }
 
 

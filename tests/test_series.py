@@ -179,6 +179,12 @@ class TestCertifiedCutoff:
             with pytest.raises(ValueError, match="epsilon"):
                 certified_cutoff(1.0, B10, eps)
 
+    def test_cutoff_out_of_reach_refused(self):
+        """At alpha = 1e16 the cutoff for epsilon 1e-3 would be about 1.1e8
+        terms; the search stops at 2**20 and names alpha, base and epsilon."""
+        with pytest.raises(OverflowError, match=r"alpha=1e\+16 in base 10 .* epsilon=0\.001"):
+            certified_cutoff(1e16, B10, 1e-3)
+
     @pytest.mark.parametrize("base_int", [2, 10, 36, 2 ** 53])
     def test_one_search_serves_the_paper_rule(self, base_int):
         """truncation_cutoff is the paper's start raised to certified_cutoff, which

@@ -126,6 +126,9 @@ def corpus():
     runs.append(["verify", "--alpha", "1e-3", "--beta", "1"])
     runs.append(["verify", "--alpha", "1e-6", "--beta", "1", "--base", "2"])
     runs.append(["sample", "--alpha", "1e-3", "--beta", "1", "--n", "100"])
+    # a shape whose cutoff is out of reach (about 1e8 terms at alpha = 1e16)
+    runs.append(["deviation", "--alpha", "1e300", "--beta", "1"])
+    runs.append(_grid("10", ("1e300", "1e300", "1"), ("1", "9.99", "5")))
     return runs
 
 
