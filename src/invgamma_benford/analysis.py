@@ -10,11 +10,11 @@ alpha, every beta) is one cutoff and one coefficient table.
 
 max_deviation and deviation_grid evaluate the uniform grid z_n = n / N
 with series._grid_deviation, one real inverse FFT per column whatever
-the cutoff, and only take maxima here; first_digit_probs takes Horner's
-rule through fb_cdf_series_values.  |F - z| is exactly 0 at z = 0 and
-z = 1, and a batched transform gives each column its one-column
-transform bit for bit, so every cell of a sweep equals max_deviation bit
-for bit.
+the cutoff, and only take maxima here; first_digit_probs reads its digit
+edges off the same kind of grid through fb_cdf_series_values.  |F - z| is
+exactly 0 at z = 0 and z = 1, and a batched transform gives each column
+its one-column transform bit for bit, so every cell of a sweep equals
+max_deviation bit for bit.
 """
 
 import math

@@ -24,7 +24,7 @@ from .benford import (
     log_mod_1,
     log_mod_1_array,
 )
-from .series import InvGammaParams, TruncationSpec, _cdf_coefficients, _cdf_residual, _cdf_values
+from .series import InvGammaParams, TruncationSpec, _cdf_residual, _cdf_values, _gamma_ratio_table
 from .special import _EXP_UNDERFLOW, regularized_upper_gamma
 
 __all__ = [
@@ -182,6 +182,21 @@ def _oracle_sums(zs, params: InvGammaParams, base: BaseConfig, cfg: OracleConfig
     return np.array([math.fsum(terms) for terms in np.column_stack([explicit, power]).tolist()])
 
 
+def _mass_past_window(zs, params: InvGammaParams, base: BaseConfig, k_range: int) -> np.ndarray:
+    """The mass b^a B^-(K+1)a (1 - B^-za) / (Gamma(a + 1) (1 - B^-a)) that the
+    window [-K, K] leaves out at every z of zs, b the canonical scale.
+
+    For every K >= 60, as oracle_window returns, the terms k > K lie in
+    _oracle_sums' power-law regime (k0 <= 1 + 53 ln 2 / ln B <= 54) and sum
+    to this geometric tail, and the terms k < -K are exact zeros: their
+    edges lie above B^K >= 2^60, past 2 X0 for every alpha below 1e17
+    (certified_cutoff refuses alpha from 1e15 on)."""
+    a, lb = params.alpha, base.log_base
+    b = decompose_significand(params.beta, base).significand
+    head = math.exp(a * (math.log(b) - (k_range + 1) * lb) - math.lgamma(a + 1.0))
+    return head * np.expm1(-a * lb * np.asarray(zs, dtype=float)) / math.expm1(-a * lb)
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Reproducible draws from an inverse gamma law.
@@ -257,9 +272,10 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     """
     frac = np.sort(log_mod_1_array(batch.values, base))
     n = frac.size
-    c = _cdf_coefficients(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    theta = [log_mod_1(params.beta, base)]
     ends = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
-    f_ends = _cdf_values(frac[ends], c)[0]
+    f_ends = _cdf_values(frac[ends], table, theta)[0]
     best = _largest_gap(ends, f_ends, n)
     # The truncated F falls below monotone by at most twice its truncation
     # error.  The floor covers the rounding of F and of the gaps, and the
@@ -270,7 +286,7 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     hi = np.minimum(lo + _KS_BLOCK, n)
     upper = np.maximum(hi / n - f_ends[:-1], f_ends[1:] - lo / n) + slack
     idx = np.flatnonzero(np.repeat(upper >= best, hi - lo))
-    return max(best, _largest_gap(idx, _cdf_values(frac[idx], c)[0], n))
+    return max(best, _largest_gap(idx, _cdf_values(frac[idx], table, theta)[0], n))
 
 
 def _largest_gap(idx, model, n: int) -> float:

@@ -24,35 +24,23 @@ beta is canonicalized into [1, B) before evaluation.  All functions are
 pure and keep no module state: each evaluation builds its coefficient
 table once.
 
-Both series are polynomials in w = e^{2 pi i z}.  With a_k = r_k
-e^{-2 pi i k t}, c_k = a_k / (2 pi i k) and tail sums d_j = sum_{k>j} c_k,
+Both series are real trigonometric polynomials in z.  With a_k = r_k
+e^{-2 pi i k t}, c_k = a_k / (2 pi i k) and d_0 = sum_{k<M} c_k,
 
-    F_B'(z) = 1 + 2 Re( w * sum_{k<M} a_k w^(k-1) )
-    F_B(z)  = z + 2 Re( (w - 1) * sum_{j<M-1} d_j w^j )
+    F_B'(z) - 1 = 2 Re sum_{k<M} e_k e^{2 pi i k z},  e_0 = 0,    e_k = a_k
+    F_B(z) - z  = 2 Re sum_{k<M} e_k e^{2 pi i k z},  e_0 = -d_0, e_k = c_k
 
-One kernel serves each kind of point set; both take one coefficient
-array and live here.  The coefficients of a row of phases are built once,
-from one table at the row's one cutoff (_cdf_coefficients).  The table
-is built with complex numpy operations; from there on every complex
-value is one real float64 array of shape (2, ...), real parts first.
-
-At arbitrary points (cdf, first-digit probabilities, fb_*_series,
-ks_distance) one routine, _horner, evaluates both series by Horner's
-rule (its rounding is the gamma_n analysis of Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 5); _cdf_values forms the tail
-sums d_j from the coefficients itself.  w - 1 is formed from sin(pi z),
-so it is exactly 0 at z = 0 and z = 1 and F_B(0) = 0, F_B(1) = 1 hold
-exactly.  A Horner step is four elementwise calls (no BLAS, no complex
-multiply), so a value never depends on the layout or row it was computed
-in or on the thread count.
-
-On the uniform grid z_n = n / N that max_deviation and deviation_grid
-use, w_n are the N-th roots of unity, so F_B - z = 2 Re sum_{k<M} e_k
-w^k, with e_0 = -d_0 and e_k = c_k, is a real inverse DFT of the e_k:
-_grid_deviation evaluates it by one numpy.fft.irfft per column, whatever
-M is, and sets it to exactly 0 at z = 0 and z = 1.  numpy.fft starts no
-worker threads, and a batched transform gives each column bit for bit
-its one-column transform.
+One kernel evaluates both.  One numpy.fft.irfft of the e_k, folded onto
+n bins (_fold), gives D = F - z (or F' - 1) at every z = j / n, whatever
+M is: max_deviation and deviation_grid read their grid off it
+(_grid_deviation).  Every other point (cdf, first-digit probabilities,
+fb_*_series, ks_distance) is read off the grid at its nearest node by a
+Taylor step in the offset, each order one more transform (_readout).
+No evaluation loops over k in Python, and F_B(0) = 0, F_B(1) = 1 hold
+exactly.  Coefficients are complex arrays of shape (columns, terms), one
+row per phase, from one table.  numpy.fft starts no worker threads, and
+a batched transform gives each row bit for bit its one-row transform,
+so a value depends neither on the other rows nor on the other points.
 """
 
 import math
@@ -92,6 +80,8 @@ _LOG2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 _EXP_UNDERFLOW = -745.0
+# signs of i^m (x + i y) for m mod 4 = 0..3, applied to (x, y), or (y, x) at odd m
+_QUARTER_TURNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 # certified_cutoff refuses a cutoff above this.  A deviation costs about
 # 300 B of memory per term (32 MB at M = 107,515: alpha = 1e10, epsilon
@@ -133,12 +123,14 @@ class SeriesEvaluation:
     """A truncated series value with its certified residual bound.
 
     The truncation error, the series value minus value, is at most
-    residual_bound in absolute value; floating-point rounding of the
-    summed terms comes on top.  Measured against 40-digit sums of the
-    same series at the certified cutoffs for epsilon 1e-12 in bases 2, 10
-    and 36, that rounding stays within 1.5e-15 for F up to alpha = 1e5 and
-    reaches 4e-14 for F' at alpha = 3000 and 6e-13 at alpha = 1e5; no
-    bound is reported for it yet (ROADMAP item 3).
+    residual_bound in absolute value.  The Taylor step that reads value
+    off the transform's grid stops at a remainder of at most 2^-52 sum_k
+    2 |e_k| (_cdf_values), and floating-point rounding comes on top.
+    Measured against 40-digit sums of the same series at the certified
+    cutoffs for epsilon 1e-12 in bases 2, 10 and 36, that rounding stays
+    within 2.3e-15 for F up to alpha = 1e5 and reaches 5e-14 for F' at
+    alpha = 3000 and 1.0e-12 at alpha = 1e5, mostly from the rounding of
+    the phases k t; no bound is reported for it yet (ROADMAP item 3).
     """
 
     value: float
@@ -303,95 +295,65 @@ def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndar
     return np.exp(_log_gamma_ratio(alpha, _TWO_PI * np.arange(1.0, cutoff_m) / base.log_base))
 
 
-def _unit_points(zs):
-    """w = e^{2 pi i z} and v = w - 1 at every z, each of shape (2, points):
-    real parts in row 0, imaginary parts in row 1.
-
-    w - 1 = 2 sin(pi r) (-sin(pi r) + i cos(pi r)) with r = z minus its
-    nearest integer, so it is exactly 0 at z = 0 and z = 1.
-    """
-    z = np.asarray(zs, dtype=float).ravel()
-    half = math.pi * (z - np.round(z))
-    s = np.sin(half)
-    v = 2.0 * s * np.stack((-s, np.cos(half)))
-    w = v.copy()
-    w[0] += 1.0
-    return w, v
-
-
-def _phase_coefficients(table: np.ndarray, thetas):
-    """k and a_k = r_k e^{-2 pi i k theta_j} for the table's k = 1..M - 1, one
-    column per phase theta_j; a has shape (terms, 2, columns), real parts first."""
-    k = np.arange(1.0, len(table) + 1.0)[:, None, None]
-    u = k * np.asarray(thetas, dtype=float)
+def _phase_coefficients(table: np.ndarray, thetas, prime: bool = False) -> np.ndarray:
+    """The coefficients of a row of phases theta_j from one table, for
+    k = 1..M - 1: c_k = a_k / (2 pi i k) of F_B, or with prime a_k = r_k
+    e^{-2 pi i k theta_j} of F_B'.  Complex, shape (columns, terms): the
+    real and imaginary parts are real expressions, stacked and viewed as
+    complex."""
+    k = np.arange(1.0, len(table) + 1.0)
+    u = np.asarray(thetas, dtype=float)[:, None] * k
     phase = _TWO_PI * (u - np.round(u))
-    sin = np.sin(phase)
-    r = np.stack((table.real, table.imag), axis=1)[:, :, None]
-    # (r_re cos + r_im sin, r_im cos - r_re sin)
-    return k, r * np.cos(phase) + r[:, ::-1] * np.concatenate((sin, -sin), axis=1)
+    cos, sin = np.cos(phase), np.sin(phase)
+    re = table.real * cos + table.imag * sin
+    im = table.imag * cos - table.real * sin
+    if not prime:  # c_k = (Im a_k, -Re a_k) / (2 pi k)
+        x = _TWO_PI * k
+        re, im = im / x, re / -x
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
-def _horner(w, c):
-    """sum_j c[j] w^j by Horner's rule, in the layouts the caller forms.
-
-    c has shape (terms, 2, ...) and w shape (2, ...), real parts first,
-    with trailing axes that broadcast together: (terms, 2, columns, 1)
-    against (2, 1, points) evaluates every column at every point.  The
-    result has shape (2,) + the broadcast shape.  Each step p <- p w + c[j]
-    is four elementwise calls on real float64 arrays, so a value is the
-    same IEEE operations whatever else the block holds:
-    p_re w_re - p_im w_im + c_re[j] and p_im w_re + p_re w_im + c_im[j].
-    """
-    shape = (2,) + np.broadcast_shapes(c.shape[2:], w.shape[1:])
-    p, t = np.zeros(shape), np.empty(shape)
-    w_re, turn = w[0], np.stack((-w[1], w[1]))
-    for j in range(len(c) - 1, -1, -1):
-        np.multiply(p[::-1], turn, out=t)
-        np.multiply(p, w_re, out=p)
-        np.add(p, t, out=p)
-        np.add(p, c[j], out=p)
-    return p
+def _cdf_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int) -> np.ndarray:
+    """The CDF's c_k for one alpha and a row of phases, from one table."""
+    return _phase_coefficients(_gamma_ratio_table(alpha, base, cutoff_m), thetas)
 
 
-def _cdf_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int):
-    """The CDF's coefficients c_k = a_k / (2 pi i k), k = 1..M - 1, for one
-    alpha and a row of phases theta_j, from one table: shape (terms, 2,
-    columns)."""
-    table = _gamma_ratio_table(alpha, base, cutoff_m)
-    k, a = _phase_coefficients(table, thetas)
-    return a[:, ::-1] / (_TWO_PI * k * np.array([[1.0], [-1.0]]))  # (a_im, -a_re) / (2 pi k)
+def _terms(c, prime: bool = False) -> np.ndarray:
+    """e_k = c_k, k = 0..M - 1, per row of c, with e_0 = -d_0 = -sum_k c_k for
+    D = F - z, or with prime e_0 = 0 for D = F' - 1 (c holding the a_k)."""
+    e = np.concatenate((np.zeros((len(c), 1), complex), c), axis=1)
+    if not prime:
+        e[:, 0] = -np.cumsum(e[:, ::-1], axis=1)[:, -1]
+    return e
 
 
-def _cdf_values(zs, c) -> np.ndarray:
-    """F(z) = z + 2 Re[(w - 1) sum_{j<M-1} d_j w^j] at every z of zs for
-    every column of the CDF coefficients c (_cdf_coefficients), with the
-    tail sums d_j = sum_{k>j} c_k: shape (columns,) + zs.shape.  Every
-    value is the same operations on the same inputs however many points
-    and columns the call holds."""
-    z = np.asarray(zs, dtype=float).ravel()
-    w, v = _unit_points(z)
-    d = np.cumsum(c[::-1], axis=0)[::-1]
-    p = _horner(w[:, None], d[..., None])
-    return (z + 2.0 * (v[0] * p[0] - v[1] * p[1])).reshape(c.shape[2:] + np.shape(zs))
+def _fold(e, n: int) -> np.ndarray:
+    """The bins of the real inverse DFT of length n (np.fft.irfft, norm
+    "forward") whose value at z = j / n is 2 Re sum_k e_k e^{2 pi i k j / n},
+    per row of e.  e_k folds onto bin k mod n; as the sum is real, a bin b
+    above n/2 folds onto bin n - b conjugated, and bins 0 and n/2 (n even),
+    their own conjugates, are doubled in real part.  Bins from
+    min(M, n/2 + 1) on are 0, and irfft pads them itself."""
+    half = n // 2
+    x = np.zeros((len(e), min(e.shape[1], half + 1)), complex)
+    for s in range(0, e.shape[1], n):
+        part = e[:, s:s + n]
+        low = part[:, :half + 1]
+        x[:, :low.shape[1]] += low
+        # bins half + 1, half + 2, ... go, conjugated, to n - half - 1, n - half - 2, ...
+        x[:, n + 1 - part.shape[1]:n - half][:, ::-1] += part[:, half + 1:].conj()
+    x.real[:, 0] *= 2.0
+    if n % 2 == 0 and x.shape[1] > half:
+        x.real[:, half] *= 2.0
+    return x
 
 
 def _grid_deviation(points: int, c) -> np.ndarray:
     """|F(z) - z| at z_n = n / N, n = 0..N with N = points - 1, for every
-    column of the CDF coefficients c (_cdf_coefficients): shape
-    (columns, points).
-
-    With the tail sums d_j = sum_{k>j} c_k, D = F - z = 2 Re[(w - 1)
-    sum_{j<M-1} d_j w^j] = 2 Re sum_{k<M} e_k w^k, where e_0 = -d_0 and
-    e_k = c_k.  On the grid, w_n = e^{2 pi i n / N} is an N-th root of
-    unity, so e_k folds onto bin k mod N; as D is real, a bin b above N/2
-    folds onto bin N - b conjugated, and bins 0 and N/2 (N even), their
-    own conjugates, are doubled in real part.  D_n is then one
-    np.fft.irfft of length N per column, whatever M is.  A column's values
-    do not depend on the other columns: numpy.fft (pocketfft) starts no
-    worker threads, and its batched transform along the last axis gives
-    each column bit for bit its one-column transform (a module test).
-    F(0) = 0 and F(1) = 1 by construction, so D is set to exactly 0 at
-    z = 0 and z = 1.
+    row of the CDF coefficients c (_cdf_coefficients): shape (columns,
+    points), one np.fft.irfft of length N per row of the folded e_k
+    (_terms, _fold), whatever M is.  D = F - z is set to exactly 0 at
+    z = 0 and z = 1, where F(0) = 0 and F(1) = 1 by construction.
 
     Rounding.  Let S = sum_k |e_k|, u = 2^-53, gamma_n = n u / (1 - n u),
     f = ceil(M / N) the most e_k of one residue mod N, and gamma = t eta
@@ -404,48 +366,93 @@ def _grid_deviation(points: int, c) -> np.ndarray:
     at most 2 f of the e_k, so the bins X_b are within gamma_{2f} S in
     total of their exact sums (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4); the doubling is exact, and as D_n =
-    2 Re sum_{b<=N/2} X_b w_n^b, that moves D by at most 2 gamma_{2f} S.  For a radix-2 transform of length 2^t, Higham
-    (Thm 24.2) bounds the 2-norm error of y_n = sum_b X~_b w_n^b, with X~
-    the Hermitian extension of the bins to length N, by gamma ||y||_2,
-    where ||y||_2 = sqrt(N) ||X~||_2 <= 2 sqrt(N) (1 + gamma_{2f}) S and
-    eta = mu + gamma_4 (sqrt(2) + mu) <= 8 u for twiddle factors within
-    mu <= 2 u.  pocketfft's real mixed-radix and Bluestein plans are taken
-    to have the same form with the stage count doubled plus two, which is
-    stated, not proven.  The absolute value is exact.  At N = 1000, e is
-    about 1.2e-12 S.  Measured against 40-digit sums of the same table
-    entries and phase (tests/mp_reference.py) at 51 of the 1001 points,
-    for alpha from 0.1 to 1e5 (M = 1 to 975) in bases 2, 10 and 36, the
-    error is at most 1.5e-15.
+    2 Re sum_{b<=N/2} X_b w_n^b, that moves D by at most 2 gamma_{2f} S.
+    For a radix-2 transform of length 2^t, Higham (Thm 24.2) bounds the
+    2-norm error of y_n = sum_b X~_b w_n^b, with X~ the Hermitian
+    extension of the bins to length N, by gamma ||y||_2, where ||y||_2 =
+    sqrt(N) ||X~||_2 <= 2 sqrt(N) (1 + gamma_{2f}) S and eta = mu + gamma_4
+    (sqrt(2) + mu) <= 8 u for twiddle factors within mu <= 2 u.
+    pocketfft's real mixed-radix and Bluestein plans are taken to have
+    the same form with the stage count doubled plus two, which is stated,
+    not proven.  The absolute value is exact.  At N = 1000, e is about
+    1.2e-12 S.  Measured against 40-digit sums of the same table entries
+    and phase (tests/mp_reference.py) at 51 of the 1001 points, for alpha
+    from 0.1 to 1e5 (M = 1 to 975) in bases 2, 10 and 36, the error is
+    at most 1.5e-15.
     """
     n = points - 1
-    half = n // 2
-    e = np.concatenate((np.zeros((1,) + c.shape[1:]), c))
-    e[0] = -np.cumsum(e[::-1], axis=0)[-1]  # -d_0, summed as _cdf_values sums it
-    e = np.ascontiguousarray(e.transpose(2, 0, 1)).view(complex)[..., 0]  # (columns, M)
-    # bins from min(M, N/2 + 1) on are 0, and irfft pads them itself
-    x = np.zeros((len(e), min(e.shape[1], half + 1)), complex)
-    for s in range(0, e.shape[1], n):  # w_n^N = 1: e_k goes to bin k mod N
-        part = e[:, s:s + n]
-        low = part[:, :half + 1]
-        x[:, :low.shape[1]] += low
-        # bins half + 1, half + 2, ... go, conjugated, to N - half - 1, N - half - 2, ...
-        x[:, n + 1 - part.shape[1]:n - half][:, ::-1] += part[:, half + 1:].conj()
-    x.real[:, 0] *= 2.0
-    if n % 2 == 0 and x.shape[1] > half:
-        x.real[:, half] *= 2.0
-    dev = np.empty((len(x), points))
-    np.fft.irfft(x, n, norm="forward", out=dev[:, :n])
+    dev = np.empty((len(c), points))
+    np.fft.irfft(_fold(_terms(c), n), n, norm="forward", out=dev[:, :n])
     dev[:, 0] = dev[:, n] = 0.0
     return np.abs(dev, out=dev)
 
 
-def _prime_row(zs, alpha: float, theta: float, cutoff_m: int, base: BaseConfig) -> np.ndarray:
-    """F_B'(z) = 1 + 2 Re[w sum_k a_k w^{k-1}] at zs, of the shape of zs."""
-    _, a = _phase_coefficients(_gamma_ratio_table(alpha, base, cutoff_m), [theta])
-    w, _ = _unit_points(zs)
-    p = _horner(w, a)  # one column: a[j] of shape (2, 1) broadcasts over the points
-    values = 1.0 + 2.0 * (w[0] * p[0] - w[1] * p[1])
-    return values.reshape(np.shape(zs))
+def _readout_plan(weights) -> tuple[int, int, int]:
+    """The plan (K, n, p) of _readout for coefficients of moduli |e_k| =
+    weights, k = 1..M - 1.  Terms past K, whose moduli sum to at most 2^-53
+    of all, are dropped.  n is the least power of two >= max(1024, 4 (K + 1)),
+    and p the least order with sum_{k<=K} 2 |e_k| (pi k / n)^(p+1) / (p+1)!
+    <= 2^-53 sum_k 2 |e_k|.  As pi k / n < pi / 4, p <= 16 for every M."""
+    limit = 2.0 ** -53 * weights.sum()
+    kept = int(np.count_nonzero(np.cumsum(weights[::-1]) > limit))
+    n = 1 << max(10, (4 * kept + 3).bit_length())
+    x = math.pi * np.arange(1.0, kept + 1.0) / n
+    p, rest = 0, weights[:kept] * x
+    while rest.sum() > limit:
+        p += 1
+        rest *= x / (p + 1)
+    return kept, n, p
+
+
+def _readout(z, e, n: int, p: int) -> np.ndarray:
+    """D(z) = 2 Re sum_k e_k e^{2 pi i k z} at every z of the array z, per
+    row of e, by the plan (n, p) of _readout_plan: shape (rows,) + z.shape.
+
+    z n = j + s exactly, for the nearest node j / n (j mod n) and s in
+    [-1/2, 1/2].  Then D(z) = sum_{m<=p} g_m[j] s^m, where g_m is one irfft
+    of length n of the folded e_k (2 pi i k / n)^m / m!, a real scaling and
+    an exact quarter turn of the pairs (Re e_k, Im e_k).  One order's grid
+    is built at a time, from m = p down, and summed in the real s.  Each
+    term's e^{2 pi i k s / n} is cut after (pi k / n)^(p+1) / (p+1)!.
+    """
+    t = z * n
+    node = np.rint(t)
+    s, j = t - node, node.astype(np.intp) % n
+    scale = _TWO_PI * np.arange(e.shape[1]) / n
+    pairs = e.view(float).reshape(e.shape + (2,))
+    turned, grid = np.empty_like(pairs), np.empty((len(e), n))
+    d = np.zeros((len(e),) + z.shape)
+    for m in range(p, -1, -1):
+        factor = (scale ** m / math.factorial(m))[:, None] * _QUARTER_TURNS[m % 4]
+        np.multiply(pairs[..., ::-1] if m % 2 else pairs, factor, out=turned)
+        np.fft.irfft(_fold(turned.view(complex)[..., 0], n), n, norm="forward", out=grid)
+        d *= s
+        d += grid[:, j]
+    return d
+
+
+def _cdf_values(zs, table: np.ndarray, thetas, prime: bool = False) -> np.ndarray:
+    """F_B, or with prime F_B', at every z of zs for every phase of thetas,
+    from one table: shape (columns,) + zs.shape.  The plan comes from the
+    |r_k|, so every call at one alpha, base and cutoff reads the same grids.
+    The readout is within 2^-52 sum_k 2 |e_k| of D, and D = F - z is set
+    to exactly 0 at z = 0 and z = 1."""
+    z = np.asarray(zs, dtype=float)
+    weights = np.abs(table)
+    if not prime:
+        weights /= _TWO_PI * np.arange(1.0, len(table) + 1.0)  # |c_k| = |r_k| / (2 pi k)
+    kept, n, p = _readout_plan(weights)
+    d = _readout(z, _terms(_phase_coefficients(table[:kept], thetas, prime), prime), n, p)
+    if prime:
+        return 1.0 + d
+    return z + np.where((z == 0.0) | (z == 1.0), 0.0, d)
+
+
+def _row(zs, params: InvGammaParams, base: BaseConfig, trunc: TruncationSpec,
+         prime: bool = False) -> np.ndarray:
+    """F_B, or with prime F_B', at zs for one parameter point: the shape of zs."""
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    return _cdf_values(zs, table, [log_mod_1(params.beta, base)], prime)[0]
 
 
 def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
@@ -456,9 +463,7 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
     The residual bound is 2 S, uniform in z, with S the bound of _tail_bound
     on the dropped coefficients at trunc.cutoff_m.
     """
-    fz = _as_unit_interval(z)
-    theta = log_mod_1(params.beta, base)
-    value = float(_prime_row([fz], params.alpha, theta, trunc.cutoff_m, base)[0])
+    value = float(_row([_as_unit_interval(z)], params, base, trunc, prime=True)[0])
     residual = 2.0 * _tail_bound(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
@@ -466,34 +471,24 @@ def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,
 def fb_prime_series_values(zs, params: InvGammaParams, base: BaseConfig,
                            trunc: TruncationSpec) -> np.ndarray:
     """Vectorized fb_prime_series values over an array of z in [0, 1]."""
-    arr = _as_unit_interval_array(zs)
-    theta = log_mod_1(params.beta, base)
-    return _prime_row(arr, params.alpha, theta, trunc.cutoff_m, base)
+    return _row(_as_unit_interval_array(zs), params, base, trunc, prime=True)
 
 
 def fb_cdf_series(z, params: InvGammaParams, base: BaseConfig,
                   trunc: TruncationSpec) -> SeriesEvaluation:
     """Truncated series for F_B(z), the CDF of log_B X mod 1.
 
-    F(0) = 0 and F(1) = 1 hold exactly (the factor w - 1 is exactly 0 at
-    the endpoints).  The residual bound is 2 S / (pi M), uniform
-    in z, with S the bound of _tail_bound at M = trunc.cutoff_m; a cutoff
-    from certified_cutoff makes it at most the requested epsilon.
+    F(0) = 0 and F(1) = 1 hold exactly.  The residual bound is 2 S / (pi M),
+    uniform in z, with S the bound of _tail_bound at M = trunc.cutoff_m; a
+    cutoff from certified_cutoff makes it at most the requested epsilon.
     """
-    fz = _as_unit_interval(z)
-    c = _cdf_coefficients(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
-    value = float(_cdf_values([fz], c)[0, 0])
+    value = float(_row([_as_unit_interval(z)], params, base, trunc)[0])
     residual = _cdf_residual(params.alpha, base, trunc.cutoff_m)
     return SeriesEvaluation(value=value, residual_bound=residual, cutoff_m=trunc.cutoff_m)
 
 
 def fb_cdf_series_values(zs, params: InvGammaParams, base: BaseConfig,
                          trunc: TruncationSpec) -> np.ndarray:
-    """Vectorized fb_cdf_series values over an array of z in [0, 1].
-
-    Elementwise identical to fb_cdf_series (same coefficients and
-    operations).
-    """
-    arr = _as_unit_interval_array(zs)
-    c = _cdf_coefficients(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
-    return _cdf_values(arr, c)[0]
+    """Vectorized fb_cdf_series values over an array of z in [0, 1],
+    elementwise identical to fb_cdf_series (same grids and operations)."""
+    return _row(_as_unit_interval_array(zs), params, base, trunc)

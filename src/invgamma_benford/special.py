@@ -14,10 +14,10 @@ without synchronization.  Accuracy targets (validated by the test suite):
   alpha ln x - x - ln Gamma(alpha), 2^-52 (|alpha ln x| + x + |ln Gamma(alpha)|)
   relative (up to about 2e-13 where x and alpha are in the hundreds).
 
-``regularized_upper_gamma`` takes arrays: alpha and x broadcast together,
+``regularized_upper_gamma`` takes one scalar shape alpha and an array x,
 and the power series and the continued fraction each run over all of
-their elements at once, each element stopping at its own tolerance.  So
-an element equals the scalar call at its alpha and x bit for bit.  Below
+the elements at once, each element stopping at its own tolerance.  So
+an element equals the scalar call at its x bit for bit.  Below
 x = 2^-53 (alpha + 1) / alpha, P(alpha, x) = x^alpha / Gamma(alpha + 1) to
 double precision; the direct-summation oracle sums those terms in closed
 form instead of calling this function for them.
@@ -115,12 +115,6 @@ def complex_log_gamma(w: complex) -> complex:
     return math.lgamma(w.real) + complex(_log_gamma_ratio(w.real, w.imag))
 
 
-def _drop(keep, *values):
-    """The values at keep (a mask or indices); a scalar, the same for every
-    element, passes through."""
-    return [v[keep] if isinstance(v, np.ndarray) else v for v in values]
-
-
 def _first_hits(done):
     """For a (steps, elements) array of convergence flags: the elements that
     converged within these steps, and the step at which each first did."""
@@ -141,7 +135,7 @@ def _blocks():
 def _lower_series(alpha, x, tol: float):
     """Power series for P(alpha, x) * Gamma(alpha) * x^-alpha * e^x; x < alpha+1.
 
-    Elementwise over a 1-d array x and a scalar or matching alpha.  Term n
+    Elementwise over a 1-d array x for one scalar alpha.  Term n
     is term n-1 times x / (alpha + n), and each element's value is its
     running total at its first term below tol of that total (every term is
     positive).  The terms are formed a block at a time, by a cumulative
@@ -163,9 +157,9 @@ def _lower_series(alpha, x, tol: float):
         keep[hit] = False
         if not keep.any():
             return out
-        live, alpha, x, term, total = _drop(keep, live, alpha, x, terms[-1], totals[-1])
-    a0, x0 = (float(np.ravel(v)[0]) for v in (alpha, x))
-    raise ArithmeticError(f"incomplete gamma series failed to converge at alpha={a0}, x={x0}")
+        live, x, term, total = (v[keep] for v in (live, x, terms[-1], totals[-1]))
+    raise ArithmeticError(f"incomplete gamma series failed to converge at alpha={alpha}, "
+                          f"x={float(x[0])}")
 
 
 def _upper_cont_frac(alpha, x, tol: float):
@@ -200,53 +194,48 @@ def _upper_cont_frac(alpha, x, tol: float):
         keep[hit] = False
         if not keep.any():
             return out
-        live, alpha, x, b, h = _drop(keep, live, alpha, x, b, hs[-1])
+        live, x, b, h = (v[keep] for v in (live, x, b, hs[-1]))
         ec = ec[:, keep]
-    a0, x0 = (float(np.ravel(v)[0]) for v in (alpha, x))
-    raise ArithmeticError(f"incomplete gamma fraction failed to converge at alpha={a0}, x={x0}")
+    raise ArithmeticError(f"incomplete gamma fraction failed to converge at alpha={alpha}, "
+                          f"x={float(x[0])}")
 
 
 def regularized_upper_gamma(alpha, x, *, tol: float = 1e-15):
-    """Regularized upper incomplete gamma Q(alpha, x) = Gamma(alpha, x)/Gamma(alpha),
-    elementwise over alpha and x broadcast together.
+    """Regularized upper incomplete gamma Q(alpha, x) = Gamma(alpha, x)/Gamma(alpha)
+    for one scalar shape alpha, elementwise over x.
 
     Monotone non-increasing in x with Q(alpha, 0) = 1 and Q(alpha, inf) = 0.
     Uses the lower power series where x < alpha + 1 and the continued
     fraction elsewhere, each run over all of its elements at once.  Once
     e^(alpha*log x - x - lgamma(alpha)) underflows, the result is an exact
-    0.0 (or 1.0 on the series side) rather than a subnormal.  Scalar alpha
-    and x give a float, anything else an array of the broadcast shape.
-    Every element is computed on its own, so it equals the scalar call at
-    its alpha and x bit for bit.
+    0.0 (or 1.0 on the series side) rather than a subnormal.  A scalar x
+    gives a float, an array x an array of its shape.  Every element is
+    computed on its own, so it equals the scalar call at its x bit for bit.
 
     Raises:
+        TypeError: if alpha is an array.
         ValueError: on alpha <= 0, x < 0, or NaN input.
     """
-    shape = np.broadcast_shapes(np.shape(alpha), np.shape(x))
-    a = np.asarray(alpha, dtype=float)
-    xs = np.ravel(np.broadcast_to(np.asarray(x, dtype=float), shape))
-    bad = ~(np.isfinite(a) & (a > 0.0))
-    if bad.any():
-        raise ValueError(f"shape parameter must be positive and finite, got {float(a[bad][0])!r}")
+    if np.ndim(alpha):
+        raise TypeError(f"the shape parameter must be a scalar, got shape {np.shape(alpha)}")
+    a = float(alpha)
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"shape parameter must be positive and finite, got {a!r}")
+    shape = np.shape(x)
+    xs = np.ravel(np.asarray(x, dtype=float))
     bad = np.isnan(xs) | (xs < 0.0)
     if bad.any():
         raise ValueError(f"argument must be non-negative, got {float(xs[bad][0])!r}")
-    if a.ndim == 0:  # one shape: scalar arithmetic in the expansions too
-        a = float(a)
-        lgam = math.lgamma(a)
-    else:
-        a = np.ravel(np.broadcast_to(a, shape))
-        lgam = np.array([math.lgamma(v) for v in a.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ax = a * np.log(xs) - xs - lgam
+        ax = a * np.log(xs) - xs - math.lgamma(a)
     ax[np.isinf(xs)] = -np.inf  # Q(a, 0) = 1 and Q(a, inf) = 0 take the underflow values
     lower = xs < a + 1.0
     q = np.where(lower, 1.0, 0.0)
     live = ax >= _EXP_UNDERFLOW
     at = np.flatnonzero(live & lower)
     if at.size:
-        q[at] = 1.0 - np.exp(ax[at]) * _lower_series(*_drop(at, a, xs), tol)
+        q[at] = 1.0 - np.exp(ax[at]) * _lower_series(a, xs[at], tol)
     at = np.flatnonzero(live & ~lower)
     if at.size:
-        q[at] = np.exp(ax[at]) * _upper_cont_frac(*_drop(at, a, xs), tol)
+        q[at] = np.exp(ax[at]) * _upper_cont_frac(a, xs[at], tol)
     return float(q[0]) if shape == () else q.reshape(shape)

@@ -11,13 +11,14 @@ def gamma_ratio(alpha, y):
     return mpmath.exp(mpmath.loggamma(mpmath.mpc(a, y)) - mpmath.loggamma(a))
 
 
-def series_sum(ratios, theta, zs):
+def series_sum(ratios, theta, zs, prime=False):
     """z + 2 sum_k Re[r_k e^{-2 pi i k theta} (e^{2 pi i k z} - 1) / (2 pi i k)]
     at each z in zs, summed at 40 digits over the given r_1, r_2, ... (floats,
-    complex or mpmath numbers), as floats."""
+    complex or mpmath numbers), as floats.  With prime, the density
+    1 + 2 sum_k Re[r_k e^{-2 pi i k theta} e^{2 pi i k z}] instead."""
     with mpmath.workdps(40):
         theta = mpmath.mpf(theta)
-        coefs = [mpmath.mpc(r) * mpmath.expjpi(-2 * k * theta) / (2j * mpmath.pi * k)
+        coefs = [mpmath.mpc(r) * mpmath.expjpi(-2 * k * theta) / (1 if prime else 2j * mpmath.pi * k)
                  for k, r in enumerate(ratios, 1)]
         row = []
         for z in zs:
@@ -25,8 +26,8 @@ def series_sum(ratios, theta, zs):
             total, w_k = mpmath.mpc(0), mpmath.mpc(1)
             for c in coefs:
                 w_k *= w
-                total += c * (w_k - 1)
-            row.append(float(mpmath.mpf(z) + 2 * total.real))
+                total += c * (w_k if prime else w_k - 1)
+            row.append(float((1 if prime else mpmath.mpf(z)) + 2 * total.real))
         return row
 
 

@@ -233,10 +233,11 @@ class TestDeviationGrid:
         b16 = BaseConfig(16)
         thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
         for m in (9, 3, 14, 1):
-            block = _cdf_values(zs, _cdf_coefficients(0.4, b16, thetas, m))
+            table = _gamma_ratio_table(0.4, b16, m)
+            block = _cdf_values(zs, table, thetas)
             assert block.shape == (5, 301)
             for theta, row in zip(thetas, block):
-                one = _cdf_values(zs, _cdf_coefficients(0.4, b16, [theta], m))
+                one = _cdf_values(zs, table, [theta])
                 assert np.array_equal(one[0], row)
             if m == 1:  # cutoff 1 sums no terms
                 assert np.array_equal(block, np.broadcast_to(zs, block.shape))
@@ -255,30 +256,9 @@ def _fft_rounding_bound(c, n):
     column of the CDF coefficients c, for a grid of n + 1 points."""
     t = 2 * math.ceil(math.log2(n)) + 2
     gamma = _gamma_n(8 * t)  # t eta / (1 - t eta) with eta = 8 u
-    fold = _gamma_n(2 * math.ceil((len(c) + 1) / n))
-    s = np.hypot(*c.sum(axis=0)) + np.hypot(c[:, 0], c[:, 1]).sum(axis=0)  # |d_0| + sum |c_k|
+    fold = _gamma_n(2 * math.ceil((c.shape[1] + 1) / n))
+    s = np.abs(c.sum(axis=1)) + np.abs(c).sum(axis=1)  # |d_0| + sum |c_k|
     return 2 * (math.sqrt(n) * gamma + (1 + math.sqrt(n) * gamma) * fold) * s
-
-
-def _horner_rounding_bound(alpha, base, thetas, m):
-    """How far each |F - z| that Horner's rule (series._cdf_values) computes
-    on np.linspace(0, 1, N + 1) can lie from |D| at z = n / N exactly, with D
-    summed from the same coefficients as series._grid_deviation sums them;
-    per column of the phases thetas.
-
-    With S = sum_j |d_j| over the tail sums, the Horner steps give
-    gamma_{4M} S (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 5); w and w - 1 at the rounded z are within 40 u of exact (pi, sin
-    and cos to one ulp), which moves the sum by at most 40 u M S; the
-    products with w - 1, the factor 2 and the sums with z add a few u S:
-    gamma_{44 M + 25} (1 + 4 S) in all.  The tail sums differ from the
-    exact ones of the c_k by sqrt(2) u |d_j| each (2 sqrt(2) u S on D), and
-    the rounded z lies within 2 u of n / N, which moves D by at most 2 u L
-    with L = 2 sum_k |r_k| >= |D'|."""
-    d = np.cumsum(_cdf_coefficients(alpha, base, thetas, m)[::-1], axis=0)[::-1]
-    s = np.hypot(d[:, 0], d[:, 1]).sum(axis=0)
-    lipschitz = 2.0 * float(np.abs(_gamma_ratio_table(alpha, base, m)).sum())
-    return _gamma_n(44 * m + 25) * (1 + 4 * s) + 3 * _U * s + 2 * _U * lipschitz
 
 
 class TestFftRows:
@@ -297,11 +277,12 @@ class TestFftRows:
              eps=1e-3)
     @example(log_alpha=math.log(0.1), base=10, log_betas=[0.0] * 11, columns=1, eps=1e-3)
     @example(log_alpha=math.log(1e-3), base=10, log_betas=[0.0] * 11, columns=5, eps=1e-3)
-    def test_row_columns_bitwise_and_near_horner(self, log_alpha, base, log_betas, columns,
+    def test_row_columns_bitwise_and_near_mpmath(self, log_alpha, base, log_betas, columns,
                                                  eps):
         """Each column of a batched row is its one-column call bit for bit, is
-        exactly 0 at z = 0 and z = 1, and lies within the FFT's and Horner's
-        rounding bounds of Horner's rule at the same points."""
+        exactly 0 at z = 0 and z = 1, and lies within the FFT's rounding bound
+        of a 40-digit sum of the same table entries and phase at z = n / 1000,
+        plus 2^-53 for rounding that sum, F, to a double."""
         alpha = math.exp(log_alpha)
         if base == 2 ** 53:
             alpha = min(alpha, 50.0)  # the cutoff grows fast in this base
@@ -318,27 +299,26 @@ class TestFftRows:
         assert not got[:, [0, -1]].any()  # F(0) = 0 and F(1) = 1 exactly
         if m == 1:  # no terms: F = z
             assert not got.any()
-        horner = np.abs(_cdf_values(_ZS, c) - _ZS)
-        bound = _fft_rounding_bound(c, _ZS.size - 1) + _horner_rounding_bound(alpha, b, thetas, m)
-        assert np.all(np.abs(got - horner) <= bound[:, None])
+        ns = (137, 500, 863)
+        table = _gamma_ratio_table(alpha, b, m)
+        bound = _fft_rounding_bound(c, _ZS.size - 1)
+        for theta, row, e in zip(thetas, got, bound):
+            exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
+            assert all(abs(row[n] - abs(ref - n / 1000)) <= e + _U for n, ref in zip(ns, exact))
 
     @pytest.mark.parametrize("alpha", [0.5, 10.0, 45.0, 1e5])
     def test_sweep_row_is_one_transform(self, monkeypatch, alpha):
         """A 40-column sweep row (M = 3, 5, 9 and 341) is one batched real
-        inverse FFT, with no Horner step."""
-        import invgamma_benford.series as series_mod
-
-        horner, shapes, real = [], [], np.fft.irfft
+        inverse FFT."""
+        shapes, real = [], np.fft.irfft
 
         def counting(*args, **kwargs):
             out = real(*args, **kwargs)
             shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(series_mod, "_horner", lambda *args: horner.append(args))
         monkeypatch.setattr(np.fft, "irfft", counting)
         deviation_grid((alpha, alpha, 1), (1.0, 9.99, 40), B10, 1e-3)
-        assert horner == []
         assert shapes == [(40, 1000)]
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 45.0, 100.0, 3000.0, 1e5])
@@ -376,8 +356,9 @@ class TestFftRows:
     def test_folded_cutoff_above_grid_length(self, grid_points):
         """At alpha = 1e5 (M = 627) the coefficients fold onto N = 100 and
         N = 101 (a prime) bins.  The same points from an unfolded transform of
-        length 7 N agree within both transforms' stated bounds, and Horner's
-        rule at the rounded z within those plus its own bound."""
+        length 7 N agree within both transforms' stated bounds, and a 40-digit
+        sum of the same table entries and phase at z = n / N within the
+        folded transform's bound."""
         n = grid_points - 1
         m = certified_cutoff(1e5, B10, 1e-8).cutoff_m
         assert m > n
@@ -387,10 +368,11 @@ class TestFftRows:
         unfolded = _grid_deviation(7 * n + 1, c)[:, ::7]
         fft_bound = _fft_rounding_bound(c, n)[:, None]
         assert np.all(np.abs(folded - unfolded) <= fft_bound + _fft_rounding_bound(c, 7 * n)[:, None])
-        zs = np.linspace(0.0, 1.0, grid_points)
-        horner = np.abs(_cdf_values(zs, c) - zs)
-        horner_bound = _horner_rounding_bound(1e5, B10, thetas, m)[:, None]
-        assert np.all(np.abs(folded - horner) <= fft_bound + horner_bound)
+        table = _gamma_ratio_table(1e5, B10, m)
+        ns = range(1, n, 9)
+        for theta, row, e in zip(thetas, folded, fft_bound[:, 0]):
+            exact = mp_reference.series_sum(table, theta, [f"{j}/{n}" for j in ns])
+            assert all(abs(row[j] - abs(ref - j / n)) <= e for j, ref in zip(ns, exact))
         report = max_deviation(InvGammaParams(1e5, 2.2), B10, 1e-8, grid_points)
         assert report.max_dev == folded[1].max()
 

@@ -15,6 +15,7 @@ from invgamma_benford.oracle import (
     OracleConfig,
     OracleTailWarning,
     SampleBatch,
+    _mass_past_window,
     fb_cdf_oracle,
     fb_cdf_oracle_values,
     ks_distance,
@@ -223,6 +224,19 @@ class TestOracleValues:
         zs = np.linspace(0.0, 1.0, 21)
         got = fb_cdf_oracle_values(zs, p, b, cfg)
         assert [float(v).hex() for v in got] == [fb_cdf_oracle(z, p, b, cfg).hex() for z in zs]
+
+    @pytest.mark.parametrize("alpha,beta,base", [(0.1, 1.0, 10), (0.1, 7.0, 10),
+                                                 (0.02, 1.5, 2), (0.05, 20.0, 36)])
+    def test_mass_past_window_is_the_wider_window_gain(self, alpha, beta, base):
+        """The closed form of the mass past K = 60 is what a window of 6000 adds."""
+        p, b, zs = InvGammaParams(alpha, beta), BaseConfig(base), [0.25, 0.5, 0.75, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OracleTailWarning)
+            gain = (fb_cdf_oracle_values(zs, p, b, OracleConfig(6000))
+                    - fb_cdf_oracle_values(zs, p, b, OracleConfig(60)))
+        tail = _mass_past_window(zs, p, b, 60) - _mass_past_window(zs, p, b, 6000)
+        assert np.all(gain > 1e-9)
+        assert np.allclose(gain, tail, rtol=1e-9, atol=1e-15)
 
     def test_narrow_window_warns_once_per_point(self):
         p, cfg = InvGammaParams(0.1, 1.0), OracleConfig(k_range=5)

@@ -133,21 +133,19 @@ class TestRegularizedUpperGamma:
 
 class TestRegularizedUpperGammaArrays:
     @settings(max_examples=60, deadline=None)
-    @given(pairs=st.lists(st.tuples(st.floats(math.log(0.05), math.log(200.0)),
-                                    st.floats(-30.0, 6.0)), min_size=1, max_size=40))
-    def test_matches_scipy_and_its_scalar_calls(self, pairs):
+    @given(log_alpha=st.floats(math.log(0.05), math.log(200.0)),
+           log_ratios=st.lists(st.floats(-30.0, 6.0), min_size=1, max_size=40))
+    def test_matches_scipy_and_its_scalar_calls(self, log_alpha, log_ratios):
         """Relative error within 1e-13 plus the rounding of the exponent
         alpha ln x - x - ln Gamma(alpha), and every element equal to its own
         scalar call bit for bit."""
-        alpha = np.exp([a for a, _ in pairs])
-        x = alpha * np.exp([r for _, r in pairs])
+        alpha = math.exp(log_alpha)
+        x = alpha * np.exp(log_ratios)
         got = regularized_upper_gamma(alpha, x)
         ref = gammaincc(alpha, x)
-        exponent = (np.abs(alpha * np.log(x)) + x
-                    + np.abs([math.lgamma(a) for a in alpha.tolist()]))
+        exponent = np.abs(alpha * np.log(x)) + x + abs(math.lgamma(alpha))
         assert np.all(np.abs(got - ref) <= ref * (1e-13 + 2.0 ** -52 * exponent) + 1e-300)
-        assert [regularized_upper_gamma(a, v) for a, v in zip(alpha.tolist(), x.tolist())] \
-            == got.tolist()
+        assert [regularized_upper_gamma(alpha, v) for v in x.tolist()] == got.tolist()
 
     def test_one_shape_over_an_array(self):
         x = np.array([[0.0, 0.5, 1.5], [3.0, 40.0, math.inf]])
@@ -156,15 +154,20 @@ class TestRegularizedUpperGammaArrays:
         assert got[0, 0] == 1.0 and got[1, 2] == 0.0
         assert np.allclose(got.ravel()[1:5], np.exp(-x.ravel()[1:5]), rtol=1e-14)
         assert [regularized_upper_gamma(1.0, v) for v in x.ravel().tolist()] == got.ravel().tolist()
-        assert regularized_upper_gamma(np.full(3, 1.0), x[0]).tolist() == got[0].tolist()
 
     def test_scalars_give_a_float(self):
         assert type(regularized_upper_gamma(2.0, 1.0)) is float
         assert type(regularized_upper_gamma(np.float64(2.0), np.array(1.0))) is float
         assert regularized_upper_gamma(2.0, np.zeros(0)).shape == (0,)
 
-    @pytest.mark.parametrize("alpha,x", [(-1.0, np.zeros(0)), (np.array([1.0, 0.0]), 1.0),
+    @pytest.mark.parametrize("alpha,x", [(-1.0, np.zeros(0)), (1.0, np.array([2.0, -1.0])),
                                          (1.0, np.array([1.0, math.nan]))])
     def test_array_domain_errors(self, alpha, x):
         with pytest.raises(ValueError):
             regularized_upper_gamma(alpha, x)
+
+    def test_array_alpha_refused(self):
+        """The shape is one scalar: an array of shapes is a TypeError, even of one element."""
+        for alpha in (np.array([1.0, 2.0]), np.array([1.0]), [2.0]):
+            with pytest.raises(TypeError, match="scalar"):
+                regularized_upper_gamma(alpha, np.array([0.5, 1.5]))

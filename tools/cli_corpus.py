@@ -26,7 +26,7 @@ the largest |difference| with its key, and exits 1 if an exit code, a
 key or a number differs beyond its tolerance.  beta_canonical is
 compared by the circular distance of log_B beta mod 1, so a canonical
 beta that wraps from just below B to 1.0 counts as the small change of
-scale that it is.  A run takes about 1 s on a 2-core machine.
+scale that it is.  A run takes about 2 s on a 2-core machine.
 """
 
 import contextlib
@@ -95,6 +95,9 @@ def corpus():
                  "--points", "101", "--format", "json"])
     runs.append(_grid("10", ("1000", "3000", "3"), ("1", "9.99", "5"), "--epsilon", "1e-8",
                       "--format", "json"))
+    # the largest cutoffs of an evaluation off the uniform grid: M = 107,515 and 627
+    runs.append(["cdf", "--alpha", "1e10", "--beta", "1", "--points", "1001"])
+    runs.append(["verify", "--alpha", "1e5", "--beta", "1.7", "--samples", "250000"])
     # rows of 40 columns at M = 7, 8, 10 and 11, and a cutoff of 627 folded onto a grid
     # of N = 101 (a prime) points
     runs.append(_grid("10", ("5", "20", "4"), ("1", "9.99", "40"), "--epsilon", "1e-8",
