@@ -8,12 +8,13 @@ repeated runs are bit-identical.  Every evaluation uses the smallest
 certified cutoff, which depends on alpha alone, so a row of the sweep (one
 alpha, every beta) is one cutoff and one coefficient table.
 
-max_deviation and deviation_grid evaluate the uniform grid z_n = n / N
-with series._grid_deviation, one real inverse FFT per column whatever
-the cutoff, and only take maxima here; first_digit_probs reads its digit
-edges off the same kind of grid through fb_cdf_series_values.  |F - z| is
-exactly 0 at z = 0 and z = 1, and a batched transform gives each column
-its one-column transform bit for bit, so every cell of a sweep equals
+max_deviation and deviation_grid hand series._grid_deviation a gamma-ratio
+table and the phase log_B beta mod 1, or a sweep row's phases, and only
+take maxima of its uniform grid z_n = n / N here: one real inverse FFT per
+phase, whatever the cutoff.  first_digit_probs reads its digit edges off
+the same kind of grid through fb_cdf_series_values.  |F - z| is exactly 0
+at z = 0 and z = 1, and a batched transform gives each phase its
+one-phase transform bit for bit, so every cell of a sweep equals
 max_deviation bit for bit.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .benford import BaseConfig, _as_epsilon, _as_int, log_mod_1
 from .series import (
     InvGammaParams,
-    _cdf_coefficients,
+    _gamma_ratio_table,
     _grid_deviation,
     certified_cutoff,
     fb_cdf_series_values,
@@ -93,8 +94,8 @@ def max_deviation(params: InvGammaParams, base: BaseConfig, epsilon,
     """
     grid_points = _as_int(grid_points, "grid_points", _MIN_GRID_POINTS)
     trunc = certified_cutoff(params.alpha, base, epsilon)
-    c = _cdf_coefficients(params.alpha, base, [log_mod_1(params.beta, base)], trunc.cutoff_m)
-    dev = _grid_deviation(grid_points, c)[0]
+    table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
+    dev = _grid_deviation(grid_points, table, log_mod_1(params.beta, base))
     idx = int(np.argmax(dev))
     return DeviationReport(
         max_dev=float(dev[idx]),
@@ -135,8 +136,8 @@ def deviation_grid(alpha_range, beta_range, base: BaseConfig, epsilon) -> Deviat
     thetas = [log_mod_1(b, base) for b in betas.tolist()]
     dev = np.empty((alphas.size, betas.size))
     for i, a in enumerate(alphas.tolist()):
-        c = _cdf_coefficients(a, base, thetas, certified_cutoff(a, base, eps).cutoff_m)
-        dev[i] = _grid_deviation(DEFAULT_GRID_POINTS, c).max(axis=1)
+        table = _gamma_ratio_table(a, base, certified_cutoff(a, base, eps).cutoff_m)
+        dev[i] = _grid_deviation(DEFAULT_GRID_POINTS, table, thetas).max(axis=1)
     return DeviationGrid(alpha_values=alphas, beta_values=betas, base=base,
                          dev=dev, epsilon=eps)
 

@@ -273,9 +273,9 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     frac = np.sort(log_mod_1_array(batch.values, base))
     n = frac.size
     table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    theta = [log_mod_1(params.beta, base)]
+    theta = log_mod_1(params.beta, base)
     ends = np.append(np.arange(0, n, _KS_BLOCK), n - 1)
-    f_ends = _cdf_values(frac[ends], table, theta)[0]
+    f_ends = _cdf_values(frac[ends], table, theta)
     best = _largest_gap(ends, f_ends, n)
     # The truncated F falls below monotone by at most twice its truncation
     # error.  The floor covers the rounding of F and of the gaps, and the
@@ -286,7 +286,7 @@ def ks_distance(batch: SampleBatch, base: BaseConfig, params: InvGammaParams,
     hi = np.minimum(lo + _KS_BLOCK, n)
     upper = np.maximum(hi / n - f_ends[:-1], f_ends[1:] - lo / n) + slack
     idx = np.flatnonzero(np.repeat(upper >= best, hi - lo))
-    return max(best, _largest_gap(idx, _cdf_values(frac[idx], table, theta)[0], n))
+    return max(best, _largest_gap(idx, _cdf_values(frac[idx], table, theta), n))
 
 
 def _largest_gap(idx, model, n: int) -> float:

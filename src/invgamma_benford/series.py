@@ -37,10 +37,11 @@ M is: max_deviation and deviation_grid read their grid off it
 fb_*_series, ks_distance) is read off the grid at its nearest node by a
 Taylor step in the offset, each order one more transform (_readout).
 No evaluation loops over k in Python, and F_B(0) = 0, F_B(1) = 1 hold
-exactly.  Coefficients are complex arrays of shape (columns, terms), one
-row per phase, from one table.  numpy.fft starts no worker threads, and
-a batched transform gives each row bit for bit its one-row transform,
-so a value depends neither on the other rows nor on the other points.
+exactly.  Each evaluator takes one table and the phase t mod 1 and forms
+its complex128 coefficients itself.  Only _grid_deviation batches phases,
+one row each, for a sweep row: numpy.fft starts no worker threads, and a
+batched transform gives each row bit for bit its one-phase transform, so
+a value depends neither on the other phases nor on the other points.
 """
 
 import math
@@ -80,8 +81,6 @@ _LOG2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 _EXP_UNDERFLOW = -745.0
-# signs of i^m (x + i y) for m mod 4 = 0..3, applied to (x, y), or (y, x) at odd m
-_QUARTER_TURNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 # certified_cutoff refuses a cutoff above this.  A deviation costs about
 # 300 B of memory per term (32 MB at M = 107,515: alpha = 1e10, epsilon
@@ -295,14 +294,14 @@ def _gamma_ratio_table(alpha: float, base: BaseConfig, cutoff_m: int) -> np.ndar
     return np.exp(_log_gamma_ratio(alpha, _TWO_PI * np.arange(1.0, cutoff_m) / base.log_base))
 
 
-def _phase_coefficients(table: np.ndarray, thetas, prime: bool = False) -> np.ndarray:
-    """The coefficients of a row of phases theta_j from one table, for
-    k = 1..M - 1: c_k = a_k / (2 pi i k) of F_B, or with prime a_k = r_k
-    e^{-2 pi i k theta_j} of F_B'.  Complex, shape (columns, terms): the
-    real and imaginary parts are real expressions, stacked and viewed as
-    complex."""
+def _phase_coefficients(table: np.ndarray, theta, prime: bool = False) -> np.ndarray:
+    """The coefficients at phase theta from one table, for k = 1..M - 1:
+    c_k = a_k / (2 pi i k) of F_B, or with prime a_k = r_k e^{-2 pi i k
+    theta} of F_B'.  Complex, of shape (terms,) for one phase and (phases,
+    terms) for a 1-d array of them, from real expressions for the real and
+    imaginary parts."""
     k = np.arange(1.0, len(table) + 1.0)
-    u = np.asarray(thetas, dtype=float)[:, None] * k
+    u = np.multiply.outer(theta, k)
     phase = _TWO_PI * (u - np.round(u))
     cos, sin = np.cos(phase), np.sin(phase)
     re = table.real * cos + table.imag * sin
@@ -310,49 +309,46 @@ def _phase_coefficients(table: np.ndarray, thetas, prime: bool = False) -> np.nd
     if not prime:  # c_k = (Im a_k, -Re a_k) / (2 pi k)
         x = _TWO_PI * k
         re, im = im / x, re / -x
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
-
-
-def _cdf_coefficients(alpha: float, base: BaseConfig, thetas, cutoff_m: int) -> np.ndarray:
-    """The CDF's c_k for one alpha and a row of phases, from one table."""
-    return _phase_coefficients(_gamma_ratio_table(alpha, base, cutoff_m), thetas)
+    return re + 1j * im
 
 
 def _terms(c, prime: bool = False) -> np.ndarray:
-    """e_k = c_k, k = 0..M - 1, per row of c, with e_0 = -d_0 = -sum_k c_k for
-    D = F - z, or with prime e_0 = 0 for D = F' - 1 (c holding the a_k)."""
-    e = np.concatenate((np.zeros((len(c), 1), complex), c), axis=1)
+    """e_k = c_k, k = 0..M - 1, along the last axis of c, with e_0 = -d_0 =
+    -sum_k c_k for D = F - z, or with prime e_0 = 0 for D = F' - 1 (c
+    holding the a_k)."""
+    e = np.concatenate((np.zeros(c.shape[:-1] + (1,), complex), c), axis=-1)
     if not prime:
-        e[:, 0] = -np.cumsum(e[:, ::-1], axis=1)[:, -1]
+        e[..., 0] = -np.cumsum(e[..., ::-1], axis=-1)[..., -1]
     return e
 
 
 def _fold(e, n: int) -> np.ndarray:
     """The bins of the real inverse DFT of length n (np.fft.irfft, norm
     "forward") whose value at z = j / n is 2 Re sum_k e_k e^{2 pi i k j / n},
-    per row of e.  e_k folds onto bin k mod n; as the sum is real, a bin b
-    above n/2 folds onto bin n - b conjugated, and bins 0 and n/2 (n even),
-    their own conjugates, are doubled in real part.  Bins from
-    min(M, n/2 + 1) on are 0, and irfft pads them itself."""
+    along the last axis of e.  e_k folds onto bin k mod n; as the sum is
+    real, a bin b above n/2 folds onto bin n - b conjugated, and bins 0 and
+    n/2 (n even), their own conjugates, are doubled in real part.  Bins
+    from min(M, n/2 + 1) on are 0, and irfft pads them itself."""
     half = n // 2
-    x = np.zeros((len(e), min(e.shape[1], half + 1)), complex)
-    for s in range(0, e.shape[1], n):
-        part = e[:, s:s + n]
-        low = part[:, :half + 1]
-        x[:, :low.shape[1]] += low
+    x = np.zeros(e.shape[:-1] + (min(e.shape[-1], half + 1),), complex)
+    for s in range(0, e.shape[-1], n):
+        part = e[..., s:s + n]
+        low = part[..., :half + 1]
+        x[..., :low.shape[-1]] += low
         # bins half + 1, half + 2, ... go, conjugated, to n - half - 1, n - half - 2, ...
-        x[:, n + 1 - part.shape[1]:n - half][:, ::-1] += part[:, half + 1:].conj()
-    x.real[:, 0] *= 2.0
-    if n % 2 == 0 and x.shape[1] > half:
-        x.real[:, half] *= 2.0
+        x[..., n + 1 - part.shape[-1]:n - half][..., ::-1] += part[..., half + 1:].conj()
+    x.real[..., 0] *= 2.0
+    if n % 2 == 0 and x.shape[-1] > half:
+        x.real[..., half] *= 2.0
     return x
 
 
-def _grid_deviation(points: int, c) -> np.ndarray:
+def _grid_deviation(points: int, table: np.ndarray, thetas) -> np.ndarray:
     """|F(z) - z| at z_n = n / N, n = 0..N with N = points - 1, for every
-    row of the CDF coefficients c (_cdf_coefficients): shape (columns,
-    points), one np.fft.irfft of length N per row of the folded e_k
-    (_terms, _fold), whatever M is.  D = F - z is set to exactly 0 at
+    phase of thetas from one table: shape (points,) for one phase and
+    (phases, points) for a 1-d array of them, one np.fft.irfft of length N
+    per phase of the folded e_k (_phase_coefficients, _terms, _fold),
+    whatever M is.  D = F - z is set to exactly 0 at
     z = 0 and z = 1, where F(0) = 0 and F(1) = 1 by construction.
 
     Rounding.  Let S = sum_k |e_k|, u = 2^-53, gamma_n = n u / (1 - n u),
@@ -381,9 +377,10 @@ def _grid_deviation(points: int, c) -> np.ndarray:
     at most 1.5e-15.
     """
     n = points - 1
-    dev = np.empty((len(c), points))
-    np.fft.irfft(_fold(_terms(c), n), n, norm="forward", out=dev[:, :n])
-    dev[:, 0] = dev[:, n] = 0.0
+    c = _phase_coefficients(table, thetas)
+    dev = np.empty(c.shape[:-1] + (points,))
+    np.fft.irfft(_fold(_terms(c), n), n, norm="forward", out=dev[..., :n])
+    dev[..., 0] = dev[..., n] = 0.0
     return np.abs(dev, out=dev)
 
 
@@ -405,44 +402,40 @@ def _readout_plan(weights) -> tuple[int, int, int]:
 
 
 def _readout(z, e, n: int, p: int) -> np.ndarray:
-    """D(z) = 2 Re sum_k e_k e^{2 pi i k z} at every z of the array z, per
-    row of e, by the plan (n, p) of _readout_plan: shape (rows,) + z.shape.
+    """D(z) = 2 Re sum_k e_k e^{2 pi i k z} at every z of the array z, by
+    the plan (n, p) of _readout_plan: the shape of z.
 
     z n = j + s exactly, for the nearest node j / n (j mod n) and s in
     [-1/2, 1/2].  Then D(z) = sum_{m<=p} g_m[j] s^m, where g_m is one irfft
-    of length n of the folded e_k (2 pi i k / n)^m / m!, a real scaling and
-    an exact quarter turn of the pairs (Re e_k, Im e_k).  One order's grid
+    of length n of the folded e_k (2 pi i k / n)^m / m!.  One order's grid
     is built at a time, from m = p down, and summed in the real s.  Each
     term's e^{2 pi i k s / n} is cut after (pi k / n)^(p+1) / (p+1)!.
     """
     t = z * n
     node = np.rint(t)
     s, j = t - node, node.astype(np.intp) % n
-    scale = _TWO_PI * np.arange(e.shape[1]) / n
-    pairs = e.view(float).reshape(e.shape + (2,))
-    turned, grid = np.empty_like(pairs), np.empty((len(e), n))
-    d = np.zeros((len(e),) + z.shape)
+    scale = _TWO_PI * np.arange(len(e)) / n
+    grid, d = np.empty(n), np.zeros(z.shape)
     for m in range(p, -1, -1):
-        factor = (scale ** m / math.factorial(m))[:, None] * _QUARTER_TURNS[m % 4]
-        np.multiply(pairs[..., ::-1] if m % 2 else pairs, factor, out=turned)
-        np.fft.irfft(_fold(turned.view(complex)[..., 0], n), n, norm="forward", out=grid)
+        terms = e * (scale ** m / math.factorial(m) * 1j ** m)
+        np.fft.irfft(_fold(terms, n), n, norm="forward", out=grid)
         d *= s
-        d += grid[:, j]
+        d += grid[j]
     return d
 
 
-def _cdf_values(zs, table: np.ndarray, thetas, prime: bool = False) -> np.ndarray:
-    """F_B, or with prime F_B', at every z of zs for every phase of thetas,
-    from one table: shape (columns,) + zs.shape.  The plan comes from the
-    |r_k|, so every call at one alpha, base and cutoff reads the same grids.
-    The readout is within 2^-52 sum_k 2 |e_k| of D, and D = F - z is set
-    to exactly 0 at z = 0 and z = 1."""
+def _cdf_values(zs, table: np.ndarray, theta: float, prime: bool = False) -> np.ndarray:
+    """F_B, or with prime F_B', at every z of zs for the phase theta, from
+    one table: the shape of zs.  The plan comes from the |r_k|, so every
+    call at one alpha, base and cutoff reads the same grids.  The readout
+    is within 2^-52 sum_k 2 |e_k| of D, and D = F - z is set to exactly 0
+    at z = 0 and z = 1."""
     z = np.asarray(zs, dtype=float)
     weights = np.abs(table)
     if not prime:
         weights /= _TWO_PI * np.arange(1.0, len(table) + 1.0)  # |c_k| = |r_k| / (2 pi k)
     kept, n, p = _readout_plan(weights)
-    d = _readout(z, _terms(_phase_coefficients(table[:kept], thetas, prime), prime), n, p)
+    d = _readout(z, _terms(_phase_coefficients(table[:kept], theta, prime), prime), n, p)
     if prime:
         return 1.0 + d
     return z + np.where((z == 0.0) | (z == 1.0), 0.0, d)
@@ -452,7 +445,7 @@ def _row(zs, params: InvGammaParams, base: BaseConfig, trunc: TruncationSpec,
          prime: bool = False) -> np.ndarray:
     """F_B, or with prime F_B', at zs for one parameter point: the shape of zs."""
     table = _gamma_ratio_table(params.alpha, base, trunc.cutoff_m)
-    return _cdf_values(zs, table, [log_mod_1(params.beta, base)], prime)[0]
+    return _cdf_values(zs, table, log_mod_1(params.beta, base), prime)
 
 
 def fb_prime_series(z, params: InvGammaParams, base: BaseConfig,

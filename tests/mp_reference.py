@@ -11,11 +11,13 @@ def gamma_ratio(alpha, y):
     return mpmath.exp(mpmath.loggamma(mpmath.mpc(a, y)) - mpmath.loggamma(a))
 
 
-def series_sum(ratios, theta, zs, prime=False):
+def series_sum(ratios, theta, zs, prime=False, deviation=False):
     """z + 2 sum_k Re[r_k e^{-2 pi i k theta} (e^{2 pi i k z} - 1) / (2 pi i k)]
     at each z in zs, summed at 40 digits over the given r_1, r_2, ... (floats,
     complex or mpmath numbers), as floats.  With prime, the density
-    1 + 2 sum_k Re[r_k e^{-2 pi i k theta} e^{2 pi i k z}] instead."""
+    1 + 2 sum_k Re[r_k e^{-2 pi i k theta} e^{2 pi i k z}] instead.  With
+    deviation, D = F - z (or F' - 1), the sum without its leading z (or 1),
+    rounded to a float once."""
     with mpmath.workdps(40):
         theta = mpmath.mpf(theta)
         coefs = [mpmath.mpc(r) * mpmath.expjpi(-2 * k * theta) / (1 if prime else 2j * mpmath.pi * k)
@@ -27,7 +29,8 @@ def series_sum(ratios, theta, zs, prime=False):
             for c in coefs:
                 w_k *= w
                 total += c * (w_k if prime else w_k - 1)
-            row.append(float((1 if prime else mpmath.mpf(z)) + 2 * total.real))
+            lead = 0 if deviation else 1 if prime else mpmath.mpf(z)
+            row.append(float(lead + 2 * total.real))
         return row
 
 

@@ -13,10 +13,9 @@ from invgamma_benford.analysis import deviation_grid, first_digit_probs, max_dev
 from invgamma_benford.benford import BaseConfig, benford_digit_prob, log_mod_1
 from invgamma_benford.series import (
     InvGammaParams,
-    _cdf_coefficients,
-    _cdf_values,
     _gamma_ratio_table,
     _grid_deviation,
+    _phase_coefficients,
     certified_cutoff,
     fb_prime_series_values,
     truncation_cutoff,
@@ -127,11 +126,11 @@ class TestDeviationGrid:
 
         real, rows = analysis_mod._grid_deviation, []
 
-        def boom(points, c):
+        def boom(points, table, thetas):
             rows.append(points)
             if len(rows) == 2:
                 raise Synthetic("synthetic row failure")
-            return real(points, c)
+            return real(points, table, thetas)
 
         monkeypatch.setattr(analysis_mod, "_grid_deviation", boom)
         with pytest.raises(Synthetic, match="synthetic row failure"):
@@ -205,16 +204,14 @@ class TestDeviationGrid:
 
     def test_row_builds_one_table(self, monkeypatch):
         """Each row builds one gamma-ratio table, at its one certified cutoff."""
-        import invgamma_benford.series as series_mod
-
         base, eps = BaseConfig(16), 1e-10
-        real, calls = series_mod._gamma_ratio_table, []
+        real, calls = analysis_mod._gamma_ratio_table, []
 
         def counting(alpha, base, cutoff_m):
             calls.append((alpha, cutoff_m))
             return real(alpha, base, cutoff_m)
 
-        monkeypatch.setattr(series_mod, "_gamma_ratio_table", counting)
+        monkeypatch.setattr(analysis_mod, "_gamma_ratio_table", counting)
         grid = deviation_grid((0.02, 3.0, 4), (1e-4, 5e3, 7), base, eps)
         assert calls == [(a, certified_cutoff(a, base, eps).cutoff_m) for a in grid.alpha_values]
 
@@ -228,20 +225,6 @@ class TestDeviationGrid:
         for m in (1, 2, m_big // 2, m_big - 1):
             assert big[:m - 1].tobytes() == _gamma_ratio_table(alpha, base, m).tobytes()
 
-    def test_one_phase_call_equals_row_of_many(self):
-        zs = np.linspace(0.0, 1.0, 301)
-        b16 = BaseConfig(16)
-        thetas = [0.0, 0.13, 0.5, 0.77, 0.999]
-        for m in (9, 3, 14, 1):
-            table = _gamma_ratio_table(0.4, b16, m)
-            block = _cdf_values(zs, table, thetas)
-            assert block.shape == (5, 301)
-            for theta, row in zip(thetas, block):
-                one = _cdf_values(zs, table, [theta])
-                assert np.array_equal(one[0], row)
-            if m == 1:  # cutoff 1 sums no terms
-                assert np.array_equal(block, np.broadcast_to(zs, block.shape))
-
 
 _ZS = np.linspace(0.0, 1.0, 1001)
 _U = 2.0 ** -53
@@ -253,11 +236,12 @@ def _gamma_n(n):
 
 def _fft_rounding_bound(c, n):
     """The bound e of series._grid_deviation on each computed |D|, per
-    column of the CDF coefficients c, for a grid of n + 1 points."""
+    phase of the CDF coefficients c (_phase_coefficients), for a grid of
+    n + 1 points."""
     t = 2 * math.ceil(math.log2(n)) + 2
     gamma = _gamma_n(8 * t)  # t eta / (1 - t eta) with eta = 8 u
-    fold = _gamma_n(2 * math.ceil((c.shape[1] + 1) / n))
-    s = np.abs(c.sum(axis=1)) + np.abs(c).sum(axis=1)  # |d_0| + sum |c_k|
+    fold = _gamma_n(2 * math.ceil((c.shape[-1] + 1) / n))
+    s = np.abs(c.sum(axis=-1)) + np.abs(c).sum(axis=-1)  # |d_0| + sum |c_k|
     return 2 * (math.sqrt(n) * gamma + (1 + math.sqrt(n) * gamma) * fold) * s
 
 
@@ -279,10 +263,10 @@ class TestFftRows:
     @example(log_alpha=math.log(1e-3), base=10, log_betas=[0.0] * 11, columns=5, eps=1e-3)
     def test_row_columns_bitwise_and_near_mpmath(self, log_alpha, base, log_betas, columns,
                                                  eps):
-        """Each column of a batched row is its one-column call bit for bit, is
+        """Each column of a batched row is its one-phase call bit for bit, is
         exactly 0 at z = 0 and z = 1, and lies within the FFT's rounding bound
-        of a 40-digit sum of the same table entries and phase at z = n / 1000,
-        plus 2^-53 for rounding that sum, F, to a double."""
+        of a 40-digit sum of D = F - z from the same table entries and phase
+        at z = n / 1000, rounded once."""
         alpha = math.exp(log_alpha)
         if base == 2 ** 53:
             alpha = min(alpha, 50.0)  # the cutoff grows fast in this base
@@ -291,20 +275,18 @@ class TestFftRows:
         betas = (betas + [math.exp(x) for x in log_betas])[:columns]
         thetas = [log_mod_1(beta, b) for beta in betas]
         m = certified_cutoff(alpha, b, eps).cutoff_m
-        c = _cdf_coefficients(alpha, b, thetas, m)
-        got = _grid_deviation(_ZS.size, c)
+        table = _gamma_ratio_table(alpha, b, m)
+        got = _grid_deviation(_ZS.size, table, thetas)
         for theta, row in zip(thetas, got):
-            one = _grid_deviation(_ZS.size, _cdf_coefficients(alpha, b, [theta], m))
-            assert one[0].tobytes() == row.tobytes()
+            assert _grid_deviation(_ZS.size, table, theta).tobytes() == row.tobytes()
         assert not got[:, [0, -1]].any()  # F(0) = 0 and F(1) = 1 exactly
         if m == 1:  # no terms: F = z
             assert not got.any()
         ns = (137, 500, 863)
-        table = _gamma_ratio_table(alpha, b, m)
-        bound = _fft_rounding_bound(c, _ZS.size - 1)
+        bound = _fft_rounding_bound(_phase_coefficients(table, thetas), _ZS.size - 1)
         for theta, row, e in zip(thetas, got, bound):
-            exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
-            assert all(abs(row[n] - abs(ref - n / 1000)) <= e + _U for n, ref in zip(ns, exact))
+            exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns], deviation=True)
+            assert all(abs(row[n] - abs(ref)) <= e for n, ref in zip(ns, exact))
 
     @pytest.mark.parametrize("alpha", [0.5, 10.0, 45.0, 1e5])
     def test_sweep_row_is_one_transform(self, monkeypatch, alpha):
@@ -324,30 +306,29 @@ class TestFftRows:
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 45.0, 100.0, 3000.0, 1e5])
     @pytest.mark.parametrize("base_int", [2, 10, 36])
     def test_rounding_against_mpmath(self, alpha, base_int):
-        """D against a 40-digit sum of the same table entries and phase at
-        z = n / 1000 exactly: at the sweep's epsilon 1e-3 below alpha = 100
+        """|D| against a 40-digit sum of D = F - z from the same table entries
+        and phase at z = n / 1000 exactly: at the sweep's epsilon 1e-3 below alpha = 100
         (M = 1 to 12, every sweep row's kernel) and at epsilon 1e-8 from
         there on (M = 7 to 975)."""
         base = BaseConfig(base_int)
         eps = 1e-3 if alpha < 100.0 else 1e-8
         theta = log_mod_1(2.9, base)
         m = certified_cutoff(alpha, base, eps).cutoff_m
-        c = _cdf_coefficients(alpha, base, [theta], m)
-        got = _grid_deviation(_ZS.size, c)[0]
-        ns = range(0, 1001, 20)
         table = _gamma_ratio_table(alpha, base, m)
-        exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns])
-        err = max(abs(got[n] - abs(ref - n / 1000)) for n, ref in zip(ns, exact))
+        got = _grid_deviation(_ZS.size, table, theta)
+        ns = range(0, 1001, 20)
+        exact = mp_reference.series_sum(table, theta, [f"{n}e-3" for n in ns], deviation=True)
+        err = max(abs(got[n] - abs(ref)) for n, ref in zip(ns, exact))
         assert err <= 4e-15
-        assert err <= _fft_rounding_bound(c, 1000)[0]
+        assert err <= _fft_rounding_bound(_phase_coefficients(table, theta), 1000)
 
     @pytest.mark.parametrize("alpha", [3.3, 3000.0, 1e5])
     def test_argmax_attains_max_exactly_as_evaluated(self, alpha):
         p = InvGammaParams(alpha, 2.2)
         report = max_deviation(p, B10, 1e-8)
         assert report.cutoff_m == certified_cutoff(alpha, B10, 1e-8).cutoff_m
-        c = _cdf_coefficients(alpha, B10, [log_mod_1(p.beta, B10)], report.cutoff_m)
-        dev = _grid_deviation(report.grid_points, c)[0]
+        table = _gamma_ratio_table(alpha, B10, report.cutoff_m)
+        dev = _grid_deviation(report.grid_points, table, log_mod_1(p.beta, B10))
         idx = int(np.argmax(dev))
         assert report.argmax_z == idx / (report.grid_points - 1)
         assert dev[idx] == report.max_dev
@@ -357,22 +338,23 @@ class TestFftRows:
         """At alpha = 1e5 (M = 627) the coefficients fold onto N = 100 and
         N = 101 (a prime) bins.  The same points from an unfolded transform of
         length 7 N agree within both transforms' stated bounds, and a 40-digit
-        sum of the same table entries and phase at z = n / N within the
-        folded transform's bound."""
+        sum of D = F - z from the same table entries and phase at z = n / N
+        within the folded transform's bound."""
         n = grid_points - 1
         m = certified_cutoff(1e5, B10, 1e-8).cutoff_m
         assert m > n
         thetas = [log_mod_1(beta, B10) for beta in (1.0, 2.2, 7.7)]
-        c = _cdf_coefficients(1e5, B10, thetas, m)
-        folded = _grid_deviation(grid_points, c)
-        unfolded = _grid_deviation(7 * n + 1, c)[:, ::7]
+        table = _gamma_ratio_table(1e5, B10, m)
+        c = _phase_coefficients(table, thetas)
+        folded = _grid_deviation(grid_points, table, thetas)
+        unfolded = _grid_deviation(7 * n + 1, table, thetas)[:, ::7]
         fft_bound = _fft_rounding_bound(c, n)[:, None]
         assert np.all(np.abs(folded - unfolded) <= fft_bound + _fft_rounding_bound(c, 7 * n)[:, None])
-        table = _gamma_ratio_table(1e5, B10, m)
         ns = range(1, n, 9)
         for theta, row, e in zip(thetas, folded, fft_bound[:, 0]):
-            exact = mp_reference.series_sum(table, theta, [f"{j}/{n}" for j in ns])
-            assert all(abs(row[j] - abs(ref - j / n)) <= e for j, ref in zip(ns, exact))
+            exact = mp_reference.series_sum(table, theta, [f"{j}/{n}" for j in ns],
+                                            deviation=True)
+            assert all(abs(row[j] - abs(ref)) <= e for j, ref in zip(ns, exact))
         report = max_deviation(InvGammaParams(1e5, 2.2), B10, 1e-8, grid_points)
         assert report.max_dev == folded[1].max()
 

@@ -236,7 +236,7 @@ class TestReadout:
         b, p = BaseConfig(base), InvGammaParams(alpha, math.exp(log_beta))
         trunc = certified_cutoff(alpha, b, eps)
         table = _gamma_ratio_table(alpha, b, trunc.cutoff_m)
-        a = _phase_coefficients(table, [log_mod_1(p.beta, b)], prime=True)[0]
+        a = _phase_coefficients(table, log_mod_1(p.beta, b), prime=True)
         got = fb_cdf_series_values(zs, p, b, trunc)
         assert np.all(np.abs(got - mp_reference.series_sum(a, 0.0, zs)) <= 2e-15)
         got = fb_prime_series_values(zs, p, b, trunc)
@@ -245,9 +245,9 @@ class TestReadout:
 
     @pytest.mark.parametrize("alpha", [1.0, 1e7])
     def test_one_transform_per_order(self, monkeypatch, alpha):
-        """A call takes p + 1 inverse FFTs, one per Taylor order, whatever the
-        number of points: at most 17, as p <= 16 for every cutoff (M = 5 and
-        6,262 here)."""
+        """A call takes p + 1 inverse FFTs of length n, one (n,) transform per
+        Taylor order, whatever the number of points: at most 17, as p <= 16
+        for every cutoff (M = 5 and 6,262 here)."""
         calls, real = [], np.fft.irfft
 
         def counting(*args, **kwargs):
@@ -258,9 +258,18 @@ class TestReadout:
         table = _gamma_ratio_table(alpha, B10, trunc.cutoff_m)
         kept, n, p = _readout_plan(np.abs(table) / (2.0 * math.pi * np.arange(1.0, trunc.cutoff_m)))
         monkeypatch.setattr(np.fft, "irfft", counting)
-        _cdf_values(np.linspace(0.0, 1.0, 5001), table, [0.3, 0.7])
-        assert calls == [(2, n)] * (p + 1)
+        _cdf_values(np.linspace(0.0, 1.0, 5001), table, 0.3)
+        assert calls == [(n,)] * (p + 1)
         assert kept == trunc.cutoff_m - 1 and p + 1 <= 17 and n >= 4 * trunc.cutoff_m
+
+    def test_cutoff_one_sums_no_terms(self):
+        """At cutoff 1 no term is summed: F_B is exactly z and F_B' exactly 1."""
+        zs = np.linspace(0.0, 1.0, 301)
+        b16, trunc = BaseConfig(16), TruncationSpec(1.0, 1)
+        for beta in (1.0, 1.4, 4.0, 8.5, 15.9):
+            p = InvGammaParams(0.4, beta)
+            assert np.array_equal(fb_cdf_series_values(zs, p, b16, trunc), zs)
+            assert np.array_equal(fb_prime_series_values(zs, p, b16, trunc), np.ones(301))
 
 
 class TestTailBounds:

@@ -97,6 +97,13 @@ def corpus():
                       "--format", "json"))
     # the largest cutoffs of an evaluation off the uniform grid: M = 107,515 and 627
     runs.append(["cdf", "--alpha", "1e10", "--beta", "1", "--points", "1001"])
+    # the readout at the ends of the shape and base ranges
+    runs.append(["cdf", "--alpha", "1e-6", "--beta", "1", "--base", "2", "--epsilon", "1e-12",
+                 "--points", "65", "--format", "json"])
+    runs.append(["cdf", "--alpha", "50", "--beta", "3", "--base", str(2 ** 53), "--points",
+                 "33", "--format", "json"])
+    runs.append(["cdf", "--alpha", "1e5", "--beta", "1", "--epsilon", "1e-8", "--format",
+                 "csv"])
     runs.append(["verify", "--alpha", "1e5", "--beta", "1.7", "--samples", "250000"])
     # rows of 40 columns at M = 7, 8, 10 and 11, and a cutoff of 627 folded onto a grid
     # of N = 101 (a prime) points
